@@ -106,7 +106,7 @@ fn bench(c: &mut Criterion) {
     for m in &monitors {
         bank.add(m);
     }
-    bank.scan_batch(plan_trace.as_slice());
+    bank.feed(plan_trace.as_slice());
     for (i, m) in monitors.iter().enumerate() {
         assert_eq!(bank.hits(i), m.scan(&plan_trace).matches, "{}", m.name());
     }
@@ -131,7 +131,7 @@ fn bench(c: &mut Criterion) {
         |b, t| {
             b.iter(|| {
                 bank.reset();
-                bank.scan_batch(black_box(t.as_slice()));
+                bank.feed(black_box(t.as_slice()));
                 (0..bank.len()).map(|i| bank.hits(i).len()).sum::<usize>()
             })
         },

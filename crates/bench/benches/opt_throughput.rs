@@ -69,8 +69,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // verdict cross-check before timing anything
-    raw_bank.scan_batch(trace.as_slice());
-    opt_bank.scan_batch(trace.as_slice());
+    raw_bank.feed(trace.as_slice());
+    opt_bank.feed(trace.as_slice());
     for i in 0..doc.charts.len() {
         assert_eq!(raw_bank.hits(i), opt_bank.hits(i), "{}", doc.charts[i].name());
     }
@@ -81,14 +81,14 @@ fn bench(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::from_parameter("raw_tables"), &trace, |b, t| {
         b.iter(|| {
             raw_bank.reset();
-            raw_bank.scan_batch(black_box(t.as_slice()));
+            raw_bank.feed(black_box(t.as_slice()));
             (0..raw_bank.len()).map(|i| raw_bank.hits(i).len()).sum::<usize>()
         })
     });
     g.bench_with_input(BenchmarkId::from_parameter("opt_tables"), &trace, |b, t| {
         b.iter(|| {
             opt_bank.reset();
-            opt_bank.scan_batch(black_box(t.as_slice()));
+            opt_bank.feed(black_box(t.as_slice()));
             (0..opt_bank.len()).map(|i| opt_bank.hits(i).len()).sum::<usize>()
         })
     });
@@ -97,11 +97,11 @@ fn bench(c: &mut Criterion) {
     // one-line JSON trajectory record (stable keys, machine-parsable)
     let raw_s = cesc_bench::time_per_pass(20, || {
         raw_bank.reset();
-        raw_bank.scan_batch(black_box(trace.as_slice()));
+        raw_bank.feed(black_box(trace.as_slice()));
     });
     let opt_s = cesc_bench::time_per_pass(20, || {
         opt_bank.reset();
-        opt_bank.scan_batch(black_box(trace.as_slice()));
+        opt_bank.feed(black_box(trace.as_slice()));
     });
     cesc_bench::emit_record(
         "opt_throughput",

@@ -148,15 +148,18 @@ pub struct CompileOptions {
     /// tests — the measurable hot-path win of the pass pipeline on
     /// monitors the automaton passes cannot shrink.
     pub narrow_masks: bool,
-    /// Precompute the bit-slicing tables ([`crate::simd`]) so
-    /// [`BatchExec::feed`] / [`MonitorBank::feed`] evaluate 64 ticks
-    /// per machine word: chunks are transposed into per-symbol bit
+    /// Precompute the bit-slicing tables ([`crate::simd`]) so every
+    /// feed ([`BatchExec::feed`], [`MonitorBank::feed`],
+    /// [`MonitorBank::feed_global`]) can evaluate 64 ticks per machine
+    /// word: chunks are transposed into per-symbol bit
     /// columns, every [`CompileOptions::narrow_masks`] conjunction
     /// guard becomes whole-word AND/AND-NOT ops, and quiescent
     /// stretches are skipped with one `popcount` per word. Verdicts
     /// are bit-identical to the scalar path (the `simd_equivalence`
     /// suite and a cesc-fuzz leg pin it); states with program or
-    /// wide-mask guards transparently fall back to scalar stepping.
+    /// wide-mask guards transparently fall back to scalar stepping,
+    /// and a member whose every word fell back in a chunk runs scalar
+    /// for the next few chunks before probing the sliced path again.
     pub bit_slice: bool,
 }
 
@@ -329,8 +332,7 @@ pub struct CompiledMonitor {
     /// (`Chk_evt` targets plus `Add_evt`/`Del_evt` targets), always in
     /// the *global* symbol space regardless of slot narrowing. Two
     /// monitors with disjoint touched sets cannot observe each other
-    /// through a shared scoreboard — `CompiledMultiClock` uses this to
-    /// pick its clock-major fast path.
+    /// through a shared scoreboard.
     touched: u128,
     /// Bit-slicing tables, precomputed when
     /// [`CompileOptions::bit_slice`] is on (see [`crate::simd`]).
@@ -657,10 +659,9 @@ impl CompiledMonitor {
     /// `Add_evt`/`Del_evt` writes).
     ///
     /// Two monitors with disjoint touched sets cannot observe each
-    /// other through a shared scoreboard; besides selecting
-    /// [`crate::CompiledMultiClock`]'s clock-major fast path, the mask
-    /// is the coupling signal `cesc-par`'s shard planner uses to
-    /// co-locate scoreboard-coupled monitors on one shard.
+    /// other through a shared scoreboard; the mask is the coupling
+    /// signal `cesc-par`'s shard planner uses to co-locate
+    /// scoreboard-coupled monitors on one shard.
     pub fn touched_symbols(&self) -> u128 {
         self.touched
     }
@@ -723,8 +724,7 @@ impl CompiledMonitor {
     pub fn executor(&self) -> BatchExec<'_> {
         BatchExec {
             monitor: self,
-            state: ExecState::new(self),
-            board: BatchBoard::sized(self.count_slots()),
+            member: Member::new(self),
             scratch: crate::simd::SliceScratch::default(),
             words: 0,
             dense_words: 0,
@@ -894,9 +894,82 @@ impl ExecState {
         self.state = m.initial;
         self.ticks = 0;
     }
+}
 
-    pub(crate) fn ticks(&self) -> u64 {
-        self.ticks
+/// Scalar chunks a member runs after a sliced chunk in which every
+/// word evaluation fell back to scalar stepping, before it probes the
+/// sliced path again (so the probe comes every 16th chunk).
+const SCALAR_BACKOFF: u32 = 15;
+
+/// The runtime of one single-clock member — control state, private
+/// scoreboard and sliced-path backoff — plus the one dispatch every
+/// feed path goes through: [`BatchExec::feed`], [`MonitorBank::feed`]
+/// and [`MonitorBank::feed_global`].
+#[derive(Debug, Clone)]
+pub(crate) struct Member {
+    pub(crate) state: ExecState,
+    pub(crate) board: BatchBoard,
+    /// Chunks left to run scalar before the sliced path is re-probed.
+    scalar_left: u32,
+}
+
+impl Member {
+    fn new(m: &CompiledMonitor) -> Self {
+        Member {
+            state: ExecState::new(m),
+            board: BatchBoard::sized(m.count_slots()),
+            scalar_left: 0,
+        }
+    }
+
+    fn reset(&mut self, m: &CompiledMonitor) {
+        self.state.reset(m);
+        self.board.reset();
+        self.scalar_left = 0;
+    }
+
+    /// Runs `chunk` through `m`, calling `on_hit` with the offset
+    /// within `chunk` of every detection, and returns the sliced
+    /// engine's `(words, dense_words)` for the chunk.
+    ///
+    /// A member compiled with [`CompileOptions::bit_slice`] takes the
+    /// 64-ticks-per-word path unless its last sliced chunk showed the
+    /// trace too dense for it: when every word evaluation of a chunk
+    /// fell back to scalar steps, the next [`SCALAR_BACKOFF`] chunks
+    /// run the plain scalar loop. Verdicts are identical either way.
+    #[inline]
+    fn run(
+        &mut self,
+        m: &CompiledMonitor,
+        scratch: &mut crate::simd::SliceScratch,
+        chunk: &[Valuation],
+        mut on_hit: impl FnMut(usize),
+    ) -> crate::simd::SliceStats {
+        if let Some(plan) = m.slice_plan() {
+            if self.scalar_left == 0 {
+                let base = self.state.ticks;
+                let (words, dense) = crate::simd::feed_sliced(
+                    m,
+                    plan,
+                    &mut self.state,
+                    &mut self.board,
+                    scratch,
+                    chunk,
+                    |tick| on_hit((tick - base) as usize),
+                );
+                if words > 0 && dense == words {
+                    self.scalar_left = SCALAR_BACKOFF;
+                }
+                return (words, dense);
+            }
+            self.scalar_left -= 1;
+        }
+        for (off, &v) in chunk.iter().enumerate() {
+            if self.state.step(m, v, &mut self.board) {
+                on_hit(off);
+            }
+        }
+        (0, 0)
     }
 }
 
@@ -932,8 +1005,7 @@ impl ExecState {
 #[derive(Debug)]
 pub struct BatchExec<'m> {
     monitor: &'m CompiledMonitor,
-    state: ExecState,
-    board: BatchBoard,
+    member: Member,
     /// Transpose scratch for the bit-sliced path, reused across every
     /// chunk this executor is fed.
     scratch: crate::simd::SliceScratch,
@@ -946,35 +1018,25 @@ impl BatchExec<'_> {
     /// entered (scenario detected at this tick).
     #[inline]
     pub fn step(&mut self, v: Valuation) -> bool {
-        self.state.step(self.monitor, v, &mut self.board)
+        self.member
+            .state
+            .step(self.monitor, v, &mut self.member.board)
     }
 
     /// Consumes a chunk of valuations, appending the absolute tick
     /// index of every detection to `hits`. Takes the bit-sliced
     /// 64-ticks-per-word path when the monitor was compiled with
-    /// [`CompileOptions::bit_slice`]; verdicts are identical either
-    /// way.
+    /// [`CompileOptions::bit_slice`] and the trace is sparse enough for
+    /// it; verdicts are identical either way.
     pub fn feed(&mut self, chunk: &[Valuation], hits: &mut Vec<u64>) {
-        if let Some(plan) = self.monitor.slice_plan() {
-            let (w, d) = crate::simd::feed_sliced(
-                self.monitor,
-                plan,
-                &mut self.state,
-                &mut self.board,
-                &mut self.scratch,
-                chunk,
-                |tick| hits.push(tick),
-            );
-            self.words += w;
-            self.dense_words += d;
-        } else {
-            for &v in chunk {
-                let tick = self.state.ticks;
-                if self.state.step(self.monitor, v, &mut self.board) {
-                    hits.push(tick);
-                }
-            }
-        }
+        let base = self.member.state.ticks;
+        let (w, d) = self
+            .member
+            .run(self.monitor, &mut self.scratch, chunk, |off| {
+                hits.push(base + off as u64)
+            });
+        self.words += w;
+        self.dense_words += d;
     }
 
     /// Word evaluations the bit-sliced path performed (zero without
@@ -1005,36 +1067,35 @@ impl BatchExec<'_> {
     pub fn adopt_run(&mut self, run: &crate::simd::WindowRun, hits: &mut Vec<u64>) {
         assert!(run.clean, "only clean window runs can be adopted");
         assert_eq!(
-            self.state.state, run.start_state,
+            self.member.state.state, run.start_state,
             "window run starts at a different state than the executor is in"
         );
         for &h in &run.rel_hits {
-            hits.push(self.state.ticks + h);
+            hits.push(self.member.state.ticks + h);
         }
-        self.state.ticks += run.steps;
-        self.state.state = run.end_state;
+        self.member.state.ticks += run.steps;
+        self.member.state.state = run.end_state;
     }
 
     /// Ticks consumed so far.
     pub fn ticks(&self) -> u64 {
-        self.state.ticks
+        self.member.state.ticks
     }
 
     /// Current state index.
     pub fn state_index(&self) -> usize {
-        self.state.state as usize
+        self.member.state.state as usize
     }
 
     /// `Del_evt` underflows observed so far.
     pub fn underflows(&self) -> u64 {
-        self.board.underflows
+        self.member.board.underflows
     }
 
     /// Resets state, scoreboard and counters to the initial
     /// configuration.
     pub fn reset(&mut self) {
-        self.state.reset(self.monitor);
-        self.board.reset();
+        self.member.reset(self.monitor);
         self.words = 0;
         self.dense_words = 0;
     }
@@ -1045,9 +1106,9 @@ impl BatchExec<'_> {
     pub fn finish(&self, hits: Vec<u64>) -> ScanReport {
         ScanReport {
             matches: hits,
-            ticks: self.state.ticks,
-            final_state: StateId::from_index(self.state.state as usize),
-            underflows: self.board.underflows,
+            ticks: self.member.state.ticks,
+            final_state: StateId::from_index(self.member.state.state as usize),
+            underflows: self.member.board.underflows,
         }
     }
 }
@@ -1088,11 +1149,11 @@ impl Monitor {
 /// verification plan (e.g. the OCP, AMBA and handshake charts at
 /// once).
 ///
-/// All monitors must be synchronous to the *same* clock as the feed;
-/// for multi-clock plans keep one bank per domain and split the global
-/// run with [`cesc_trace::GlobalRun::project`]. Each monitor keeps its
-/// private scoreboard, exactly as independent [`Monitor::scan`] calls
-/// would.
+/// [`MonitorBank::feed`] treats every monitor as synchronous to the
+/// feed; [`MonitorBank::feed_global`] takes global steps, projects
+/// each clock domain once and also drives multi-clock members. Each
+/// monitor keeps its private scoreboard, exactly as independent
+/// [`Monitor::scan`] calls would.
 ///
 /// # Examples
 ///
@@ -1122,8 +1183,7 @@ impl Monitor {
 #[derive(Debug, Default)]
 pub struct MonitorBank {
     pub(crate) monitors: Vec<CompiledMonitor>,
-    pub(crate) states: Vec<ExecState>,
-    pub(crate) boards: Vec<BatchBoard>,
+    pub(crate) members: Vec<Member>,
     pub(crate) hits: Vec<Vec<u64>>,
     /// Multi-clock members (compiled table + runtime); advanced only by
     /// [`MonitorBank::feed_global`].
@@ -1170,8 +1230,7 @@ impl MonitorBank {
 
     /// Attaches an already-compiled monitor; returns its index.
     pub fn add_compiled(&mut self, compiled: CompiledMonitor) -> usize {
-        self.states.push(ExecState::new(&compiled));
-        self.boards.push(BatchBoard::sized(compiled.count_slots()));
+        self.members.push(Member::new(&compiled));
         self.monitors.push(compiled);
         self.hits.push(Vec::new());
         self.member_ns.push(0);
@@ -1219,7 +1278,7 @@ impl MonitorBank {
     }
 
     /// Number of attached single-clock monitors (multi-clock members
-    /// are counted by [`MonitorBank::multiclock_len`]).
+    /// live in a separate slot space).
     pub fn len(&self) -> usize {
         self.monitors.len()
     }
@@ -1229,98 +1288,35 @@ impl MonitorBank {
         self.monitors.is_empty() && self.multis.is_empty()
     }
 
-    /// The compiled form of monitor `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn monitor(&self, idx: usize) -> &CompiledMonitor {
-        &self.monitors[idx]
-    }
-
-    /// Monitor-major feed with caller-owned hit handling: each
-    /// attached monitor runs the whole chunk in turn (tables staying
-    /// hot), and every detection invokes `on_hit(monitor, offset)`
-    /// with the detecting monitor's index and the position *within
-    /// `chunk`*. Unlike [`MonitorBank::feed`] nothing is recorded
-    /// internally — callers that need their own timestamping (e.g.
-    /// the global-time harness in `cesc-sim`) own the hit log.
-    pub fn feed_with(&mut self, chunk: &[Valuation], mut on_hit: impl FnMut(usize, usize)) {
-        for (idx, ((m, st), board)) in self
-            .monitors
-            .iter()
-            .zip(&mut self.states)
-            .zip(&mut self.boards)
-            .enumerate()
-        {
-            if let Some(plan) = m.slice_plan() {
-                let base = st.ticks;
-                let (w, d) = crate::simd::feed_sliced(
-                    m,
-                    plan,
-                    st,
-                    board,
-                    &mut self.scratch,
-                    chunk,
-                    |tick| on_hit(idx, (tick - base) as usize),
-                );
-                self.words += w;
-                self.dense_words += d;
-            } else {
-                for (off, &v) in chunk.iter().enumerate() {
-                    if st.step(m, v, board) {
-                        on_hit(idx, off);
-                    }
-                }
-            }
+    /// Runs single-clock member `idx` over `chunk` through the member
+    /// dispatch, recording each detection at `stamp(offset in chunk)`.
+    pub(crate) fn run_member(
+        &mut self,
+        idx: usize,
+        chunk: &[Valuation],
+        stamp: impl Fn(usize) -> u64,
+    ) {
+        let started = self.timing.then(std::time::Instant::now);
+        let hits = &mut self.hits[idx];
+        let (w, d) = self.members[idx].run(&self.monitors[idx], &mut self.scratch, chunk, |off| {
+            hits.push(stamp(off))
+        });
+        self.words += w;
+        self.dense_words += d;
+        if let Some(t0) = started {
+            self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
         }
     }
 
     /// Feeds one shared chunk to every monitor (each visits the chunk
-    /// once, tables staying hot per monitor). Members compiled with
-    /// [`CompileOptions::bit_slice`] take the 64-ticks-per-word path.
+    /// once, tables staying hot per monitor), recording hits as tick
+    /// indices. Members compiled with [`CompileOptions::bit_slice`]
+    /// take the 64-ticks-per-word path where the trace allows.
     pub fn feed(&mut self, chunk: &[Valuation]) {
-        let timing = self.timing;
-        for (idx, (((m, st), board), hits)) in self
-            .monitors
-            .iter()
-            .zip(&mut self.states)
-            .zip(&mut self.boards)
-            .zip(&mut self.hits)
-            .enumerate()
-        {
-            let started = timing.then(std::time::Instant::now);
-            if let Some(plan) = m.slice_plan() {
-                let (w, d) = crate::simd::feed_sliced(
-                    m,
-                    plan,
-                    st,
-                    board,
-                    &mut self.scratch,
-                    chunk,
-                    |tick| hits.push(tick),
-                );
-                self.words += w;
-                self.dense_words += d;
-            } else {
-                for &v in chunk {
-                    let tick = st.ticks;
-                    if st.step(m, v, board) {
-                        hits.push(tick);
-                    }
-                }
-            }
-            if let Some(t0) = started {
-                self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
-            }
+        for idx in 0..self.monitors.len() {
+            let base = self.members[idx].state.ticks;
+            self.run_member(idx, chunk, |off| base + off as u64);
         }
-    }
-
-    /// Feeds a whole resident trace in one pass (see
-    /// [`Monitor::scan_batch`] on why no further chunking happens
-    /// here).
-    pub fn scan_batch(&mut self, trace: &[Valuation]) {
-        self.feed(trace);
     }
 
     /// Detection ticks of monitor `idx` so far.
@@ -1357,24 +1353,17 @@ impl MonitorBank {
         }
     }
 
-    /// Per-monitor reports for everything fed through
-    /// [`MonitorBank::feed`] / [`MonitorBank::scan_batch`] so far (the
-    /// bank remains usable; reports snapshot current state).
-    ///
-    /// Detections delivered through [`MonitorBank::feed_with`] are
-    /// *not* in `matches` (their ticks still advance) — the caller
-    /// owns that hit log, so don't mix the two feeding styles on one
-    /// bank if you rely on `reports()`/`hits()`.
+    /// Per-monitor reports for everything fed so far (the bank remains
+    /// usable; reports snapshot current state).
     pub fn reports(&self) -> Vec<ScanReport> {
-        self.states
+        self.members
             .iter()
-            .zip(&self.boards)
             .zip(&self.hits)
-            .map(|((st, board), hits)| ScanReport {
+            .map(|(member, hits)| ScanReport {
                 matches: hits.clone(),
-                ticks: st.ticks,
-                final_state: StateId::from_index(st.state as usize),
-                underflows: board.underflows,
+                ticks: member.state.ticks,
+                final_state: StateId::from_index(member.state.state as usize),
+                underflows: member.board.underflows,
             })
             .collect()
     }
@@ -1382,9 +1371,8 @@ impl MonitorBank {
     /// Resets every monitor to its initial configuration and clears
     /// recorded hits.
     pub fn reset(&mut self) {
-        for ((m, st), board) in self.monitors.iter().zip(&mut self.states).zip(&mut self.boards) {
-            st.reset(m);
-            board.reset();
+        for (m, member) in self.monitors.iter().zip(&mut self.members) {
+            member.reset(m);
         }
         for h in &mut self.hits {
             h.clear();
@@ -1588,7 +1576,7 @@ mod tests {
 
         bank.reset();
         assert!(bank.hits(i_hs).is_empty());
-        bank.scan_batch(&trace);
+        bank.feed(&trace);
         assert_eq!(bank.hits(i_hs), hs.scan(trace.iter().copied()).matches);
     }
 
@@ -1646,6 +1634,48 @@ mod tests {
         let mut hits2 = Vec::new();
         exec.feed(&trace, &mut hits2);
         assert_eq!(hits, hits2, "reset restores initial configuration");
+    }
+
+    #[test]
+    fn dense_chunks_back_off_to_scalar_and_reprobe() {
+        let doc = parse_document(
+            "scesc hs on clk { instances { M } events { req, ack } tick { M: req } tick { M: ack } }",
+        )
+        .unwrap();
+        let m = synthesize(doc.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
+        let req = Valuation::of([doc.alphabet.lookup("req").unwrap()]);
+        let ack = Valuation::of([doc.alphabet.lookup("ack").unwrap()]);
+        let dense: Vec<Valuation> = (0..128)
+            .map(|i| if i % 2 == 0 { req } else { ack })
+            .collect();
+        let idle = vec![Valuation::empty(); 128];
+
+        let compiled = m.compiled_with(&CompileOptions::optimized());
+        let mut exec = compiled.executor();
+        let mut hits = Vec::new();
+        exec.feed(&dense, &mut hits);
+        let probed = exec.words();
+        assert!(
+            probed > 0 && exec.dense_words() == probed,
+            "every word fell back"
+        );
+        for _ in 0..SCALAR_BACKOFF {
+            exec.feed(&idle, &mut hits);
+        }
+        assert_eq!(
+            exec.words(),
+            probed,
+            "backed-off chunks run the scalar loop"
+        );
+        exec.feed(&idle, &mut hits);
+        assert!(exec.words() > probed, "the sliced path is probed again");
+        assert_eq!(exec.dense_words(), probed, "idle words are quiet");
+
+        let mut trace = dense;
+        for _ in 0..=SCALAR_BACKOFF {
+            trace.extend_from_slice(&idle);
+        }
+        assert_eq!(exec.finish(hits), m.scan(trace.iter().copied()));
     }
 
     /// A conjunction-only chart over exactly `n` symbols whose guards

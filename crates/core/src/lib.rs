@@ -25,8 +25,7 @@
 //!   tables, precompiled guards, many monitors per shared trace feed;
 //! * [`CompiledMultiClock`] / [`MultiClockBatchExec`] — the batched
 //!   multi-clock engine: per-domain flat tables over one shared
-//!   counts-only scoreboard, clock-major chunk execution where the
-//!   domains' scoreboard footprints permit;
+//!   counts-only scoreboard, ticks dispatched in global-time order;
 //! * [`simd`] — the bit-sliced engine: 64 ticks evaluated per machine
 //!   word over transposed bit columns, plus the speculative window
 //!   runs ([`CompiledMonitor::speculate_window`] / [`WindowRun`])

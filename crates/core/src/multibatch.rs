@@ -16,48 +16,37 @@
 //! * **integer clock binding** — clock ids are resolved to local
 //!   monitor indices once ([`MultiClockBatchState::bind`]), so the hot
 //!   loop is table lookups only, no name comparisons;
-//! * **clock-major chunks where legal** — when the locals' scoreboard
-//!   footprints are pairwise disjoint (cross-domain arrows absent, or
-//!   only intra-chart causality), each chunk is projected per domain
-//!   and run monitor-major with hot tables, then the per-local
-//!   completion events are merged back in time order; when footprints
-//!   overlap, execution interleaves in global-step order, preserving
-//!   the exact cross-domain scoreboard semantics.
+//! * **one interleaved strategy** — every tick is dispatched to its
+//!   local monitor in global-step order, which preserves the exact
+//!   cross-domain scoreboard semantics for every spec.
 //!
 //! Verdict equivalence with [`MultiClockMonitor::scan`] (same global
 //! match times under any chunking and clock interleaving) is pinned by
 //! unit tests here and the `batch_equivalence` property suite at the
 //! workspace root.
 
-use cesc_expr::Valuation;
 use cesc_trace::{ClockSet, GlobalRun, GlobalStep};
 
 use crate::batch::{BatchBoard, CompiledMonitor, ExecState};
 use crate::multiclock::MultiClockMonitor;
 
 /// A [`MultiClockMonitor`] compiled to flat tables: one
-/// [`CompiledMonitor`] per clock domain plus the coupling analysis
-/// that selects the execution strategy.
+/// [`CompiledMonitor`] per clock domain over one shared scoreboard.
 ///
 /// Build once with [`CompiledMultiClock::new`] (or
 /// [`MultiClockMonitor::compiled`]), then execute with a
 /// [`MultiClockBatchExec`], or own a [`MultiClockBatchState`] next to
-/// the table (the pattern `MonitorBank` and the `cesc-sim`
-/// `BatchHarness` use).
+/// the table (the pattern `MonitorBank` uses).
 #[derive(Debug, Clone)]
 pub struct CompiledMultiClock {
     name: String,
     locals: Vec<CompiledMonitor>,
-    /// Whether any two locals touch a common scoreboard symbol. When
-    /// false the clock-major fast path is semantically safe.
-    coupled: bool,
     /// Shared scoreboard size (max over locals).
     slots: usize,
 }
 
 impl CompiledMultiClock {
-    /// Compiles every local monitor of `monitor` into flat form and
-    /// analyses scoreboard coupling between the domains.
+    /// Compiles every local monitor of `monitor` into flat form.
     pub fn new(monitor: &MultiClockMonitor) -> Self {
         Self::with_options(monitor, &crate::CompileOptions::default())
     }
@@ -78,19 +67,10 @@ impl CompiledMultiClock {
             .iter()
             .map(|m| CompiledMonitor::build(m, opts, Some(joint)))
             .collect();
-        let coupled = locals
-            .iter()
-            .enumerate()
-            .any(|(i, a)| {
-                locals[i + 1..]
-                    .iter()
-                    .any(|b| a.touched_symbols() & b.touched_symbols() != 0)
-            });
         let slots = locals.iter().map(CompiledMonitor::count_slots).max().unwrap_or(0);
         CompiledMultiClock {
             name: monitor.name().to_owned(),
             locals,
-            coupled,
             slots,
         }
     }
@@ -105,13 +85,6 @@ impl CompiledMultiClock {
         &self.locals
     }
 
-    /// Whether cross-domain scoreboard traffic forces interleaved
-    /// (global-step order) execution. `false` means chunks run
-    /// clock-major with hot per-domain tables.
-    pub fn coupled(&self) -> bool {
-        self.coupled
-    }
-
     /// Union of the locals' scoreboard footprints
     /// ([`CompiledMonitor::touched_symbols`]) — the coupling signal the
     /// `cesc-par` shard planner reads.
@@ -124,18 +97,13 @@ impl CompiledMultiClock {
 
     /// Footprint-derived per-step cost weight for shard balancing: the
     /// sum of the locals' [`CompiledMonitor::step_cost`], surcharged
-    /// when coupling forces the interleaved (per-tick dispatch) path
-    /// instead of the clock-major chunk path.
+    /// for the interleaved per-tick dispatch.
     pub fn step_cost(&self) -> u64 {
         let locals: u64 = self.locals.iter().map(CompiledMonitor::step_cost).sum();
-        // completion-merge bookkeeping rides on top of the locals; the
-        // interleaved path additionally loses the monitor-major cache
-        // locality, worth roughly half the locals' work again
-        if self.coupled {
-            locals + locals / 2 + 1
-        } else {
-            locals + 1
-        }
+        // completion bookkeeping rides on top of the locals, and the
+        // per-tick dispatch loses the monitor-major cache locality of
+        // a single-clock member, worth roughly half the locals' work
+        locals + locals / 2 + 1
     }
 
     /// Creates a fresh runtime state with the *identity* clock
@@ -151,9 +119,6 @@ impl CompiledMultiClock {
             completed: vec![None; self.locals.len()],
             matches: 0,
             binding: (0..self.locals.len() as u32).map(Some).collect(),
-            proj_vals: vec![Vec::new(); self.locals.len()],
-            proj_times: vec![Vec::new(); self.locals.len()],
-            completions: Vec::new(),
         }
     }
 
@@ -172,34 +137,20 @@ impl CompiledMultiClock {
     /// global time of every *full-spec* match (every local completed
     /// since the previous match) to `hits`.
     ///
-    /// Steps may arrive in any chunking; state persists across calls,
-    /// so any split of a run produces the verdicts of one pass.
-    /// Ticks of clocks bound to no local monitor are ignored.
+    /// Steps are walked in global-time order and each tick is
+    /// dispatched to its local monitor, exactly as the step-wise
+    /// executor would — but through the compiled tables and the
+    /// lock-free shared board. Steps may arrive in any chunking; state
+    /// persists across calls, so any split of a run produces the
+    /// verdicts of one pass. Ticks of clocks bound to no local monitor
+    /// are ignored.
     pub fn feed(&self, state: &mut MultiClockBatchState, steps: &[GlobalStep], hits: &mut Vec<u64>) {
-        if self.coupled {
-            self.feed_interleaved(state, steps, hits);
-        } else {
-            self.feed_clock_major(state, steps, hits);
-        }
-    }
-
-    /// Cross-domain scoreboard traffic: walk steps in global-time
-    /// order, dispatching each tick to its local monitor, exactly as
-    /// the step-wise executor would — but through the compiled tables
-    /// and the lock-free shared board.
-    fn feed_interleaved(
-        &self,
-        state: &mut MultiClockBatchState,
-        steps: &[GlobalStep],
-        hits: &mut Vec<u64>,
-    ) {
         let MultiClockBatchState {
             states,
             board,
             completed,
             matches,
             binding,
-            ..
         } = state;
         for step in steps {
             for &(clock, v) in &step.ticks {
@@ -218,75 +169,13 @@ impl CompiledMultiClock {
             }
         }
     }
-
-    /// Disjoint scoreboard footprints: project the chunk per domain,
-    /// run each local monitor-major (tables hot for the whole chunk),
-    /// then merge the rare completion events back into global-time
-    /// order to evaluate the full-spec condition.
-    fn feed_clock_major(
-        &self,
-        state: &mut MultiClockBatchState,
-        steps: &[GlobalStep],
-        hits: &mut Vec<u64>,
-    ) {
-        let MultiClockBatchState {
-            states,
-            board,
-            completed,
-            matches,
-            binding,
-            proj_vals,
-            proj_times,
-            completions,
-        } = state;
-
-        for (vals, times) in proj_vals.iter_mut().zip(proj_times.iter_mut()) {
-            vals.clear();
-            times.clear();
-        }
-        for step in steps {
-            for &(clock, v) in &step.ticks {
-                if let Some(l) = binding.get(clock.index()).copied().flatten() {
-                    proj_vals[l as usize].push(v);
-                    proj_times[l as usize].push(step.time);
-                }
-            }
-        }
-
-        completions.clear();
-        for (l, (m, st)) in self.locals.iter().zip(states.iter_mut()).enumerate() {
-            for (&v, &t) in proj_vals[l].iter().zip(&proj_times[l]) {
-                if st.step(m, v, board) {
-                    completions.push((t, l as u32));
-                }
-            }
-        }
-        // per-local completion lists are time-sorted; the merged list
-        // only needs a sort by time (order within one instant is
-        // irrelevant: the full-spec check runs after the whole instant)
-        completions.sort_unstable_by_key(|&(t, _)| t);
-        let mut i = 0;
-        while i < completions.len() {
-            let t = completions[i].0;
-            while i < completions.len() && completions[i].0 == t {
-                completed[completions[i].1 as usize] = Some(t);
-                i += 1;
-            }
-            if completed.iter().all(Option::is_some) {
-                *matches += 1;
-                completed.iter_mut().for_each(|c| *c = None);
-                hits.push(t);
-            }
-        }
-    }
 }
 
 /// The mutable runtime of a [`CompiledMultiClock`]: per-local control
-/// states, the shared counts-only scoreboard, completion marks and the
-/// reused projection buffers of the clock-major path.
+/// states, the shared counts-only scoreboard and completion marks.
 ///
-/// Owned separately from the table so harnesses can store both side by
-/// side without self-references (see `cesc-sim`'s `BatchHarness`).
+/// Owned separately from the table so a bank can store both side by
+/// side without self-references.
 #[derive(Debug, Clone)]
 pub struct MultiClockBatchState {
     states: Vec<ExecState>,
@@ -297,11 +186,6 @@ pub struct MultiClockBatchState {
     matches: u64,
     /// Clock index → local monitor index.
     binding: Vec<Option<u32>>,
-    /// Reused per-local projection buffers (clock-major path).
-    proj_vals: Vec<Vec<Valuation>>,
-    proj_times: Vec<Vec<u64>>,
-    /// Reused `(time, local)` completion-merge buffer.
-    completions: Vec<(u64, u32)>,
 }
 
 impl MultiClockBatchState {
@@ -330,11 +214,6 @@ impl MultiClockBatchState {
     /// `Del_evt` underflows on the shared scoreboard so far.
     pub fn underflows(&self) -> u64 {
         self.board.underflows()
-    }
-
-    /// Local ticks consumed per local monitor, in chart order.
-    pub fn local_ticks(&self) -> Vec<u64> {
-        self.states.iter().map(ExecState::ticks).collect()
     }
 
     /// Resets every local monitor, the shared scoreboard and the
@@ -399,11 +278,6 @@ impl MultiClockBatchExec<'_> {
         self.compiled.feed(&mut self.state, steps, hits);
     }
 
-    /// Rebinds the executor's clock mapping against `clocks`.
-    pub fn bind(&mut self, clocks: &ClockSet) {
-        self.state.bind(self.compiled, clocks);
-    }
-
     /// Number of full-spec matches so far.
     pub fn match_count(&self) -> u64 {
         self.state.match_count()
@@ -439,11 +313,6 @@ impl crate::MonitorBank {
         self.multis.len() - 1
     }
 
-    /// Number of attached multi-clock monitors.
-    pub fn multiclock_len(&self) -> usize {
-        self.multis.len()
-    }
-
     /// Global match times of multi-clock monitor `idx` recorded by
     /// [`crate::MonitorBank::feed_global`] so far.
     ///
@@ -467,9 +336,11 @@ impl crate::MonitorBank {
     /// Feeds a chunk of global steps to *every* member — the mixed
     /// verification-plan entry point. Single-clock monitors see the
     /// projection of their own domain (matched by clock name; a
-    /// monitor whose clock is absent from `clocks` sees no ticks) and
-    /// record hits at **global times**; multi-clock members run the
-    /// batched shared-scoreboard engine.
+    /// monitor whose clock is absent from `clocks` sees no ticks),
+    /// run it through the same member dispatch as
+    /// [`crate::MonitorBank::feed`] (bit-sliced where compiled and
+    /// sparse enough) and record hits at **global times**; multi-clock
+    /// members run the batched shared-scoreboard engine.
     ///
     /// Don't mix this with the tick-indexed [`crate::MonitorBank::feed`]
     /// on one bank: `feed` records local tick indices, `feed_global`
@@ -494,30 +365,28 @@ impl crate::MonitorBank {
             self.bound_clocks = Some(clocks.clone());
         }
         // one projection per distinct domain, then every monitor of
-        // that domain replays it monitor-major (tables staying hot)
-        for (clock, members) in &self.clock_groups {
-            self.proj_vals.clear();
-            self.proj_times.clear();
+        // that domain runs it through the member dispatch (tables
+        // staying hot); the buffers are moved out and back so the
+        // dispatch can borrow the bank
+        let groups = std::mem::take(&mut self.clock_groups);
+        let mut vals = std::mem::take(&mut self.proj_vals);
+        let mut times = std::mem::take(&mut self.proj_times);
+        for (clock, members) in &groups {
+            vals.clear();
+            times.clear();
             for step in steps {
                 if let Some(v) = step.tick_of(*clock) {
-                    self.proj_vals.push(v);
-                    self.proj_times.push(step.time);
+                    vals.push(v);
+                    times.push(step.time);
                 }
             }
             for &idx in members {
-                let started = self.timing.then(std::time::Instant::now);
-                let (m, st) = (&self.monitors[idx], &mut self.states[idx]);
-                let (board, hits) = (&mut self.boards[idx], &mut self.hits[idx]);
-                for (&v, &t) in self.proj_vals.iter().zip(&self.proj_times) {
-                    if st.step(m, v, board) {
-                        hits.push(t);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
-                }
+                self.run_member(idx, &vals, |off| times[off]);
             }
         }
+        self.clock_groups = groups;
+        self.proj_vals = vals;
+        self.proj_times = times;
         let timing = self.timing;
         for (idx, ((cm, st), hits)) in self
             .multis
@@ -561,6 +430,7 @@ mod tests {
     use crate::synth::SynthOptions;
     use crate::synthesize_multiclock;
     use cesc_chart::parse_document;
+    use cesc_expr::Valuation;
     use cesc_trace::{ClockDomain, Trace};
 
     /// Figure 2 style, cross-domain causality → coupled.
@@ -590,7 +460,7 @@ mod tests {
     }
 
     /// Intra-chart causality only → locals' scoreboard footprints are
-    /// disjoint, the clock-major path applies.
+    /// disjoint.
     fn uncoupled_spec() -> cesc_chart::Document {
         parse_document(
             r#"
@@ -642,15 +512,23 @@ mod tests {
         let mm = synthesize_multiclock(d.multiclock_spec("read").unwrap(), &SynthOptions::default())
             .unwrap();
         let compiled = mm.compiled();
-        assert!(compiled.coupled(), "cross arrows share scoreboard symbols");
+        let shared = |c: &CompiledMultiClock| {
+            c.locals()[0].touched_symbols() & c.locals()[1].touched_symbols()
+        };
+        assert_ne!(
+            shared(&compiled),
+            0,
+            "cross arrows share scoreboard symbols"
+        );
         assert_eq!(compiled.locals().len(), 2);
         assert_eq!(compiled.name(), "read");
 
         let d = uncoupled_spec();
         let mm = synthesize_multiclock(d.multiclock_spec("duo").unwrap(), &SynthOptions::default())
             .unwrap();
-        assert!(
-            !mm.compiled().coupled(),
+        assert_eq!(
+            shared(&mm.compiled()),
+            0,
             "intra-chart causality only — footprints disjoint"
         );
     }
@@ -686,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn uncoupled_clock_major_matches_stepwise() {
+    fn uncoupled_spec_matches_stepwise() {
         let d = uncoupled_spec();
         let mm = synthesize_multiclock(d.multiclock_spec("duo").unwrap(), &SynthOptions::default())
             .unwrap();

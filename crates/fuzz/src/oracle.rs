@@ -32,8 +32,9 @@
 //! trace-segment speculative executor (`cesc_par::scan_segmented`)
 //! stitched over the case's chunk size as its window split must
 //! reproduce the serial verdict exactly. This is the dynamic pin
-//! behind `--no-simd` / `--segments`: the transpose, word-evaluation
-//! and window-adoption machinery can never change a verdict.
+//! behind the sliced engine and `--segments`: the transpose,
+//! word-evaluation and window-adoption machinery can never change a
+//! verdict.
 //!
 //! A seventh leg cross-checks the *static prover*
 //! (`cesc_core::prove_implication`, the engine behind `cesc prove`)
@@ -46,7 +47,9 @@
 //! Any disagreement is a [`Discrepancy`] carrying enough context to
 //! replay and minimize the case. Assert compositions are checked
 //! serial-vs-sharded, and multiclock specs serial-vs-sharded over an
-//! interleaved global run.
+//! interleaved global run, with every local chart's optimized
+//! bit-sliced monitor fed through the same fleet's `feed_global` and
+//! diffed against the step-wise scan of its projected domain.
 
 use cesc_core::{CompileOptions, CompiledMonitor, MonitorExec, ScanReport};
 use cesc_expr::Valuation;
@@ -500,7 +503,9 @@ pub struct MultiCaseInput {
 }
 
 /// Runs the serial-vs-sharded differential on every multiclock spec
-/// of the document.
+/// of the document; each local chart's optimized single-clock monitor
+/// joins the fleet and is diffed against the step-wise scan of its
+/// projected clock domain.
 ///
 /// # Errors
 ///
@@ -537,6 +542,17 @@ pub fn run_multiclock_case(input: &MultiCaseInput) -> Result<CaseReport, Box<Dis
 
         let mut fleet = Fleet::new();
         fleet.add_compiled_multiclock(spec.compiled().clone());
+        // each local chart's optimized (bit-sliced) single-clock monitor
+        // rides the same fleet, so `feed_global`'s member dispatch is
+        // diffed against the step-wise scan of its projected domain
+        let mut locals = Vec::new();
+        for chart in set.document().multiclock[idx].charts() {
+            if let Ok(TargetRef::Chart(ci)) = set.resolve(chart.name()) {
+                if let Ok(local) = set.chart_spec(ci) {
+                    locals.push((fleet.add_compiled(local.compiled().clone()), local));
+                }
+            }
+        }
         let sharded = scan_sharded_global(
             &fleet,
             &plan_shards(&fleet, input.jobs),
@@ -558,6 +574,32 @@ pub fn run_multiclock_case(input: &MultiCaseInput) -> Result<CaseReport, Box<Dis
         }
         report.charts_checked += 1;
         report.matches += serial.len() as u64;
+
+        for (slot, local) in locals {
+            let reference: Vec<u64> = match clocks.lookup(local.synthesized().clock()) {
+                Some(c) => {
+                    let times: Vec<u64> = run
+                        .iter()
+                        .filter(|s| s.tick_of(c).is_some())
+                        .map(|s| s.time)
+                        .collect();
+                    let scan = local.synthesized().scan(run.project(c));
+                    scan.matches.iter().map(|&k| times[k as usize]).collect()
+                }
+                None => Vec::new(),
+            };
+            let got = sharded.singles[slot].log.all().unwrap_or(&[]);
+            if got != reference.as_slice() {
+                return Err(Box::new(Discrepancy {
+                    stage: "sliced-feed-global".into(),
+                    target: local.synthesized().name().to_owned(),
+                    detail: format!(
+                        "step-wise scan of the projected domain {:?} vs fleet({} jobs) {:?}",
+                        reference, input.jobs, got
+                    ),
+                }));
+            }
+        }
     }
     Ok(report)
 }

@@ -125,6 +125,17 @@ impl RunReport {
         ms(self.wall_ns)
     }
 
+    /// Engine throughput in million ticks per second of engine-busy
+    /// time: the `engine.ticks` counter over the summed
+    /// [`ShardStats::busy_ns`]. `None` when no ticks or no shard stats
+    /// were recorded — the wall time of the whole run would count
+    /// ingest and setup as engine time.
+    pub fn engine_mticks_per_s(&self) -> Option<f64> {
+        let ticks = self.counter(crate::key::ENGINE_TICKS);
+        let busy_ns: u64 = self.shards.iter().map(|s| s.busy_ns).sum();
+        (ticks > 0 && busy_ns > 0).then(|| ticks as f64 * 1e3 / busy_ns as f64)
+    }
+
     /// Renders the human-readable `--stats` block.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -150,13 +161,8 @@ impl RunReport {
             for (n, v) in &self.counters {
                 out.push_str(&format!("  {n:<20} {v}\n"));
             }
-            let ticks = self.counter(crate::key::ENGINE_TICKS);
-            if ticks > 0 && self.wall_ns > 0 {
-                out.push_str(&format!(
-                    "  {:<20} {:.3}\n",
-                    "engine.mticks_per_s",
-                    ticks as f64 * 1e3 / self.wall_ns as f64
-                ));
+            if let Some(rate) = self.engine_mticks_per_s() {
+                out.push_str(&format!("  {:<20} {rate:.3}\n", "engine.mticks_per_s"));
             }
         }
         if !self.gauges.is_empty() {
@@ -336,6 +342,25 @@ mod tests {
         assert!(text.contains("histogram chunk.steps: count 2 sum 16000 mean 8000.0"), "{text}");
         assert!(text.contains("#0"), "{text}");
         assert!(text.contains("util"), "{text}");
+    }
+
+    #[test]
+    fn engine_rate_divides_by_engine_busy_time() {
+        // 240k ticks over 2 + 3 ms of shard busy time, whatever the wall
+        let r = sample();
+        assert_eq!(r.engine_mticks_per_s(), Some(48.0));
+        assert!(
+            r.render_text().contains("engine.mticks_per_s  48.000"),
+            "{}",
+            r.render_text()
+        );
+
+        // no shard stats: no rate, rather than one over the wall time
+        let obs = Obs::enabled();
+        obs.counter(key::ENGINE_TICKS).add(240_000);
+        let r = obs.report("check");
+        assert_eq!(r.engine_mticks_per_s(), None);
+        assert!(!r.render_text().contains("mticks"), "{}", r.render_text());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`OnlineHarness`] — monitors stepped inline with the simulation;
 //! * [`run_decoupled`] — monitors on their own thread, fed over a
 //!   channel;
-//! * [`run_decoupled_parallel`] — the monitor fleet sharded across
-//!   worker threads via `cesc-par`'s cost-balanced planner;
+//! * [`run_decoupled_parallel`] — the batched engine `cesc check`
+//!   runs: the monitor fleet sharded across worker threads via
+//!   `cesc-par`'s cost-balanced planner (`jobs = 1` runs it serially);
 //! * [`run_flow`] — the complete automated pipeline: parse → validate →
 //!   synthesize → simulate → verdict.
 //!
@@ -48,8 +49,5 @@ mod harness;
 mod kernel;
 
 pub use flow::{run_flow, FlowConfig, FlowError, FlowReport};
-pub use harness::{
-    run_decoupled, run_decoupled_batched, run_decoupled_batched_plan, run_decoupled_parallel,
-    BatchHarness, OnlineHarness, HARNESS_CHUNK,
-};
+pub use harness::{run_decoupled, run_decoupled_parallel, OnlineHarness, HARNESS_CHUNK};
 pub use kernel::{NoiseTransactor, PeriodicTransactor, ScriptedTransactor, Simulation, Transactor};

@@ -87,11 +87,6 @@ pub struct SpecOptions {
     /// (the default; the CLI's `--no-opt` turns it off). Off, targets
     /// compile exactly as synthesized, with the raw table layout.
     pub optimize: bool,
-    /// Build the bit-sliced 64-tick word plan for optimized targets
-    /// (the default; the CLI's `--no-simd` turns it off). Only
-    /// meaningful when `optimize` is on — raw compiles always stay
-    /// scalar so the baseline oracle is engine-independent.
-    pub simd: bool,
     /// Synthesis options forwarded to the `Tr` algorithm.
     pub synth: SynthOptions,
     /// Observability registry: the `parse` span and per-target
@@ -105,20 +100,11 @@ impl SpecOptions {
     pub fn new() -> Self {
         SpecOptions {
             optimize: true,
-            simd: true,
             synth: SynthOptions::default(),
             obs: cesc_obs::Obs::disabled(),
         }
     }
 
-    /// The [`CompileOptions`] an optimized target compiles with:
-    /// the full pass pipeline, bit-slicing per the `simd` knob.
-    fn optimized_compile(&self) -> CompileOptions {
-        CompileOptions {
-            bit_slice: self.simd,
-            ..CompileOptions::optimized()
-        }
-    }
 }
 
 /// What the pass pipeline did to one compiled target, measured on the
@@ -623,7 +609,7 @@ impl SpecSet {
         Ok(if self.options.optimize {
             let _span = obs.span("optimize");
             let (opt, _) = optimize(&monitor);
-            let compiled = opt.compiled_with(&self.options.optimized_compile());
+            let compiled = opt.compiled_with(&CompileOptions::optimized());
             let report = PassReport::measure(&baseline, &compiled);
             ChartSpec {
                 monitor: opt,
@@ -700,7 +686,7 @@ impl SpecSet {
                 .collect();
             let opt = MultiClockMonitor::from_locals(monitor.name(), locals);
             let compiled =
-                CompiledMultiClock::with_options(&opt, &self.options.optimized_compile());
+                CompiledMultiClock::with_options(&opt, &CompileOptions::optimized());
             let report = PassReport::measure_multi(&baseline, &compiled);
             MultiSpec {
                 monitor: opt,

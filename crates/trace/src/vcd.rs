@@ -311,7 +311,8 @@ fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
 /// allocation, which a shared `GlobalStep`-shaped engine would lose.)
 #[derive(Clone, Copy)]
 enum BodyLine<'a> {
-    /// Blank line or `$...` directive — no effect on sampling.
+    /// Blank line, `$...` directive or real-valued change — no effect
+    /// on sampling.
     Skip,
     /// `#t` timestamp marker.
     Time(u64),
@@ -322,6 +323,11 @@ enum BodyLine<'a> {
 fn classify_body_line(line: &str, lineno: usize) -> Result<BodyLine<'_>, VcdReadError> {
     if line.is_empty() || line.starts_with('$') {
         return Ok(BodyLine::Skip); // directives ($dumpvars bodies are value changes)
+    }
+    if line.starts_with(['r', 'R']) {
+        // `r<real> <code>`: the header rejects reals the spec watches,
+        // so every real change belongs to an unwatched signal
+        return Ok(BodyLine::Skip);
     }
     if let Some(rest) = line.strip_prefix('#') {
         return parse_timestamp(rest, lineno).map(BodyLine::Time);
@@ -356,7 +362,10 @@ struct VcdHeader {
 ///
 /// A declared name matches a clock or symbol either exactly or with a
 /// vector range stripped — both `data[7:0]` and the separate-token
-/// form `$var wire 8 ! data [7:0] $end` resolve to `data`.
+/// form `$var wire 8 ! data [7:0] $end` resolve to `data`. A
+/// real-valued variable (`real`, `realtime`, `shortreal`) that matches
+/// a clock or symbol is an error naming the signal: a real has no
+/// logic level to sample. Unmatched reals are accepted and ignored.
 fn parse_header<R: BufRead>(
     reader: &mut R,
     buf: &mut String,
@@ -384,19 +393,29 @@ fn parse_header<R: BufRead>(
                 Some(i) => &name[..i],
                 None => name,
             };
-            let mut is_clock = false;
-            for (ci, &cn) in clock_names.iter().enumerate() {
-                if cn == name || cn == base {
-                    is_clock = true;
-                    if header.clock_codes[ci].is_none() {
+            let is_clock = clock_names.iter().any(|&cn| cn == name || cn == base);
+            let symbol = alphabet.lookup(name).or_else(|| alphabet.lookup(base));
+            if (is_clock || symbol.is_some())
+                && matches!(toks[1], "real" | "realtime" | "shortreal")
+            {
+                let role = if is_clock { "clock" } else { "chart symbol" };
+                return Err(VcdReadError::Malformed {
+                    line: *lineno,
+                    message: format!(
+                        "`{name}` is a `$var {}`, but the spec samples it as a {role}; \
+                         only scalar and vector signals can be sampled",
+                        toks[1]
+                    ),
+                });
+            }
+            if is_clock {
+                for (ci, &cn) in clock_names.iter().enumerate() {
+                    if (cn == name || cn == base) && header.clock_codes[ci].is_none() {
                         header.clock_codes[ci] = Some(code.to_owned());
                     }
                 }
-            }
-            if !is_clock {
-                if let Some(id) = alphabet.lookup(name).or_else(|| alphabet.lookup(base)) {
-                    header.code_to_symbol.insert(code.to_owned(), id);
-                }
+            } else if let Some(id) = symbol {
+                header.code_to_symbol.insert(code.to_owned(), id);
             }
         } else if toks.first() == Some(&"$enddefinitions") {
             break;
@@ -998,6 +1017,60 @@ $enddefinitions $end
         let t = read_vcd(vcd, &ab, "clk").unwrap();
         assert_eq!(t.len(), 1);
         assert!(t[0].contains(a));
+    }
+
+    #[test]
+    fn unwatched_reals_are_ignored_by_both_readers() {
+        let (ab, a, _) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var real 64 # temp $end
+$var realtime 64 $ stamp $end
+$enddefinitions $end
+#0
+0!
+r0 #
+R1.5e3 $
+#5
+1!
+1\"
+r-2.25 #
+#10
+0!
+";
+        let t = read_vcd(vcd, &ab, "clk").unwrap();
+        assert_eq!(t.len(), 1);
+        assert!(t[0].contains(a));
+        let mut global = GlobalVcdStream::new(vcd, &ab, &[VcdClockSpec::new("clk")]).unwrap();
+        let mut steps = Vec::new();
+        assert_eq!(global.next_chunk(&mut steps, 16).unwrap(), 1);
+        assert!(steps[0].ticks[0].1.contains(a));
+    }
+
+    #[test]
+    fn watched_reals_are_rejected_naming_the_signal() {
+        let (ab, _, _) = setup();
+        for (decl, role) in [
+            ("$var real 64 \" req $end", "chart symbol"),
+            ("$var shortreal 32 \" clk $end", "clock"),
+        ] {
+            let vcd = format!("$var wire 1 ! clk $end\n{decl}\n$enddefinitions $end\n#0\n");
+            for err in [
+                read_vcd(&vcd, &ab, "clk").unwrap_err(),
+                GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("clk")]).unwrap_err(),
+            ] {
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, VcdReadError::Malformed { line: 2, .. }),
+                    "{msg}"
+                );
+                assert!(msg.contains(role), "{msg}");
+            }
+        }
+        let vcd = "$var real 64 \" req $end\n$enddefinitions $end\n";
+        let err = read_vcd(vcd, &ab, "clk").unwrap_err();
+        assert!(err.to_string().contains("`req`"), "{err}");
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! unless `--no-opt` asks for the raw tables. The subcommands only
 //! pick targets, stream waveforms and render reports.
 //!
-//! `check` has three library entry points: the single-target streaming
-//! [`check`] (one basic chart or multiclock spec, kept for its
-//! tick-indexed report), the fleet-mode [`check_fleet`] the binary
-//! uses — every selected chart, multiclock spec and `implies(...)`
-//! assertion is verified in **one pass** over the dump, optionally
-//! sharded across worker threads (`--jobs`), with text or JSON
-//! ([`CHECK_JSON_SCHEMA`]) output and a CI-gating `failed` flag — and
-//! the differential [`check_cosim`] (`--cosim`), which drives the dump
+//! `check` has three library entry points, one per binary route: the
+//! fleet-mode [`check_fleet`] — every selected chart, multiclock spec
+//! and `implies(...)` assertion is verified in **one pass** over the
+//! dump, optionally sharded across worker threads (`--jobs`), with
+//! text or JSON ([`CHECK_JSON_SCHEMA`]) output and a CI-gating
+//! `failed` flag — the trace-segment [`check_segmented`]
+//! (`--segments`), and the differential [`check_cosim`] (`--cosim`),
+//! which drives the dump
 //! into both the *interpreted emitted RTL* (`cesc-rtl`, lowered from
 //! the **optimized** monitor) and the **unoptimized** batch engine
 //! ([`cesc_spec::ChartSpec::baseline`]) and fails when their
@@ -99,21 +99,6 @@ fn load_obs(source: &str, optimize: bool, obs: Obs) -> Result<SpecSet, CliError>
         source,
         SpecOptions {
             optimize,
-            obs,
-            ..SpecOptions::new()
-        },
-    )
-    .map_err(lift)
-}
-
-/// The `check` routes' loader: `--no-opt` and `--no-simd` both reach
-/// the compile front door here.
-fn load_check(source: &str, opts: &CheckOptions, obs: Obs) -> Result<SpecSet, CliError> {
-    SpecSet::load_with(
-        source,
-        SpecOptions {
-            optimize: !opts.no_opt,
-            simd: !opts.no_simd,
             obs,
             ..SpecOptions::new()
         },
@@ -484,7 +469,8 @@ pub fn synth_all_with(
     Ok(listing)
 }
 
-/// Options for [`check`] / [`check_fleet`].
+/// Options for the `check` routes ([`check_fleet`], [`check_segmented`],
+/// [`check_cosim`]).
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// Print every match tick/time instead of the default summary
@@ -500,10 +486,6 @@ pub struct CheckOptions {
     /// Skip the optimization pass pipeline and run the monitors
     /// exactly as synthesized — the `--no-opt` flag.
     pub no_opt: bool,
-    /// Skip the bit-sliced 64-tick engine and run optimized monitors
-    /// tick by tick — the `--no-simd` escape hatch (`--no-opt` implies
-    /// scalar execution already).
-    pub no_simd: bool,
     /// Split the dump into this many windows and run them with
     /// trace-segment speculative parallelism — the `--segments N`
     /// flag ([`check_segmented`]; `0` streams normally).
@@ -522,142 +504,18 @@ impl Default for CheckOptions {
             jobs: 1,
             json: false,
             no_opt: false,
-            no_simd: false,
             segments: 0,
             stats: StatsOptions::default(),
         }
     }
 }
 
-/// How many leading and trailing matches the default [`check`] summary
+/// How many leading and trailing matches the default `check` summary
 /// prints; everything in between is elided as a count.
 pub const MATCH_EDGE: usize = 5;
 
 fn tally(opts: &CheckOptions) -> MatchLog {
     MatchLog::new(MATCH_EDGE, opts.all_matches)
-}
-
-/// `cesc check`, single-target form: run one chart's monitor over a
-/// VCD waveform.
-///
-/// `chart_name` may name a basic chart (checked on `clock`) or a
-/// `multiclock` spec (each local chart is checked on its own declared
-/// clock; `clock` is ignored). For several charts in one pass,
-/// `implies(...)` assertion gating, `--jobs` sharding or JSON output,
-/// use [`check_fleet`].
-///
-/// The waveform is streamed end to end: lines are pulled from the
-/// [`BufRead`] and samples are decoded in [`BATCH_CHUNK`]-sized chunks
-/// for the compiled batch engine, so neither the VCD text, the decoded
-/// trace, nor the match list ever materialises in full — a multi-GB
-/// dump is checked in constant memory. (Only
-/// [`CheckOptions::all_matches`] retains the complete match list, for
-/// output.)
-pub fn check(
-    source: &str,
-    chart_name: &str,
-    vcd: impl BufRead,
-    clock: &str,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let specs = load_check(source, opts, Obs::disabled())?;
-    match specs.resolve(chart_name) {
-        Ok(TargetRef::Chart(idx)) => check_single(&specs, idx, vcd, clock, opts),
-        Ok(TargetRef::Multi(idx)) => check_multiclock(&specs, idx, vcd, opts),
-        Ok(TargetRef::Assert(_)) => Err(CliError::Pipeline(format!(
-            "`{chart_name}` is an implies(...) assertion; the single-target check reports \
-             tick-indexed matches only — use the fleet form (the `cesc check` binary route) \
-             to verify assertions"
-        ))),
-        Err(e) => Err(lift(e)),
-    }
-}
-
-fn check_single(
-    specs: &SpecSet,
-    idx: usize,
-    vcd: impl BufRead,
-    clock: &str,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let chart = &specs.document().charts[idx];
-    let spec = specs.chart_spec(idx).map_err(lift)?;
-    let mut stream = VcdStream::from_reader(vcd, specs.alphabet(), clock)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut exec = spec.compiled().executor();
-    let mut tally = tally(opts);
-    let mut chunk_hits = Vec::new();
-    let mut chunk = Vec::new();
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        chunk_hits.clear();
-        exec.feed(&chunk, &mut chunk_hits);
-        tally.absorb(&chunk_hits);
-    }
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    Ok(format!(
-        "chart `{}` over {} sampled cycles: {} — {} occurrence(s) at ticks {}, \
-         scoreboard underflows {}\n",
-        chart.name(),
-        exec.ticks(),
-        verdict,
-        tally.count(),
-        tally.render(),
-        exec.underflows()
-    ))
-}
-
-fn check_multiclock(
-    specs: &SpecSet,
-    idx: usize,
-    vcd: impl BufRead,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let spec = specs.multi_spec(idx).map_err(lift)?;
-    // one VCD clock per local chart, in chart order; each tick carries
-    // only its own chart's signals
-    let plan = specs
-        .clock_plan(&[TargetRef::Multi(idx)], None)
-        .map_err(lift)?;
-    let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &plan.vcd_specs())
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let compiled = spec.compiled();
-    let mut state = compiled.state();
-    state.bind(compiled, &plan.clock_set());
-    let mut tally = tally(opts);
-    let mut chunk_hits = Vec::new();
-    let mut chunk = Vec::new();
-    let mut steps = 0u64;
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        steps += n as u64;
-        chunk_hits.clear();
-        compiled.feed(&mut state, &chunk, &mut chunk_hits);
-        tally.absorb(&chunk_hits);
-    }
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    let clock_list: Vec<&str> = plan.declared().iter().map(String::as_str).collect();
-    Ok(format!(
-        "multiclock `{}` over {} global steps (clocks {}): {} — {} occurrence(s) at times {}, \
-         scoreboard underflows {}\n",
-        specs.document().multiclock[idx].name(),
-        steps,
-        clock_list.join(", "),
-        verdict,
-        tally.count(),
-        tally.render(),
-        state.underflows()
-    ))
 }
 
 /// `cesc check --segments N`: trace-segment speculative parallelism
@@ -682,7 +540,7 @@ pub fn check_segmented(
     opts: &CheckOptions,
 ) -> Result<String, CliError> {
     let obs = &opts.stats.obs;
-    let specs = load_check(source, opts, obs.clone())?;
+    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
     let idx = match specs.resolve(chart_name).map_err(lift)? {
         TargetRef::Chart(i) => i,
         TargetRef::Multi(_) | TargetRef::Assert(_) => {
@@ -872,7 +730,7 @@ pub fn check_fleet(
     // JSON report's ticks/wall_ms/exec_ms are real either way
     let obs = opts.stats.obs.or_enabled();
     let wall = std::time::Instant::now();
-    let specs = load_check(source, opts, obs.clone())?;
+    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
 
     // -- resolve the target selection (dedupe, validate) -------------
     let mut targets: Vec<TargetRef> = Vec::new();
@@ -1007,7 +865,7 @@ pub fn check_cosim(
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, CliError> {
     let obs = &opts.stats.obs;
-    let specs = load_check(source, opts, obs.clone())?;
+    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
     let doc = specs.document();
 
     // -- resolve the selection (basic charts only) -------------------
@@ -1387,7 +1245,7 @@ pub fn usage() -> &'static str {
             [--force] [--no-opt] [--counter-width N] [--all-charts --out-dir DIR]\n\
      check  <spec> (--chart NAME)... | --all-charts  --vcd FILE\n\
             [--clock NAME] [--jobs N] [--segments N] [--json] [--all-matches]\n\
-            [--cosim] [--no-opt] [--no-simd]\n\
+            [--cosim] [--no-opt]\n\
             [--stats] [--stats-json FILE] [--progress]\n\
      lint   <spec> [--chart NAME]... [--json] [--deny] [--allow RULE]...\n\
             [--counter-width N] [--no-opt] [--stats] [--stats-json FILE]\n\
@@ -1420,9 +1278,6 @@ pub fn usage() -> &'static str {
      --no-opt      skip the monitor optimization pass pipeline (dead-state/\n\
                    dead-transition pruning, guard CSE, scoreboard narrowing);\n\
                    monitors run exactly as synthesized\n\
-     --no-simd     run optimized monitors tick by tick instead of through the\n\
-                   bit-sliced 64-ticks-per-word engine (the default engine;\n\
-                   verdicts are identical either way)\n\
      --cosim       differentially execute the emitted RTL (cesc-rtl\n\
                    interpreter, lowered from the optimized monitor) against\n\
                    the unoptimized engine over the dump; any match_pulse\n\

@@ -88,9 +88,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
             "--no-opt" => {
                 check_opts.no_opt = true;
             }
-            "--no-simd" => {
-                check_opts.no_simd = true;
-            }
             "--segments" => {
                 let raw = expect_value(&mut it, "--segments")?;
                 check_opts.segments =

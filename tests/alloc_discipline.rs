@@ -1,10 +1,12 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after a one-chunk warmup, (a) `VcdStream::next_chunk`,
-//! (b) `GlobalVcdStream::next_chunk` and (c) the bit-sliced
-//! `BatchExec::feed` hot loop must perform **zero** heap allocations
-//! per chunk. This is the contract behind the streaming `cesc check`
-//! path: decode buffers, recycled `GlobalStep::ticks` vectors and the
-//! slice scratch are all reused, so throughput does not degrade into
+//! (b) `GlobalVcdStream::next_chunk`, (c) the bit-sliced
+//! `BatchExec::feed` hot loop and (d) the bit-sliced
+//! `MonitorBank::feed_global` (the `cesc check` route) must perform
+//! **zero** heap allocations per chunk. This is the contract behind
+//! the streaming `cesc check` path: decode buffers, recycled
+//! `GlobalStep::ticks` vectors, projection buffers and the slice
+//! scratch are all reused, so throughput does not degrade into
 //! allocator traffic on 100k+-tick dumps.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
@@ -14,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cesc::core::{synthesize, CompileOptions, SynthOptions};
+use cesc::core::{synthesize, CompileOptions, MonitorBank, SynthOptions};
 use cesc::expr::Valuation;
 use cesc::prelude::parse_document;
 use cesc::trace::{
@@ -163,5 +165,53 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         report,
         monitor.scan(Trace::from_elements(elements)),
         "zero-alloc run still matches the step-wise verdict"
+    );
+
+    // (d) the bit-sliced member dispatch behind `feed_global`, on a
+    // sparse one-clock run (one handshake per 100 ticks, so words are
+    // quiet and the sliced path stays selected); hits are drained per
+    // chunk as the fleet's shard workers do
+    let (clocks, clk) = ClockSet::single();
+    let steps: Vec<GlobalStep> = (0..CHUNK * CHUNKS)
+        .map(|i| {
+            let v = match i % 100 {
+                0 => Valuation::of([req]),
+                1 => Valuation::of([ack]),
+                _ => Valuation::empty(),
+            };
+            GlobalStep {
+                time: 10 * i as u64,
+                ticks: vec![(clk, v)],
+            }
+        })
+        .collect();
+    let mut bank = MonitorBank::new();
+    bank.add_compiled(compiled.clone());
+    let mut drained = 0usize;
+    bank.feed_global(&clocks, &steps[..CHUNK]); // warmup
+    bank.drain_hits(|_, hits| drained += hits.len());
+    let warm_words = bank.engine_words();
+    let steady = allocs_during(|| {
+        for chunk in steps[CHUNK..].chunks(CHUNK) {
+            bank.feed_global(&clocks, chunk);
+            bank.drain_hits(|_, hits| drained += hits.len());
+        }
+    });
+    assert_eq!(
+        steady, 0,
+        "bit-sliced MonitorBank::feed_global allocated in steady state"
+    );
+    assert!(
+        bank.engine_words() > warm_words,
+        "the sliced path must run in steady state"
+    );
+    assert!(
+        bank.engine_dense_words() < bank.engine_words(),
+        "idle words are quiet"
+    );
+    assert_eq!(
+        drained,
+        CHUNK * CHUNKS / 100 + 1,
+        "one detection per handshake"
     );
 }

@@ -91,7 +91,7 @@ fn causality_doc() -> cesc::chart::Document {
 }
 
 /// Fig 2 style multi-clock spec with cross-domain causality — the
-/// *coupled* case, forcing interleaved batch execution.
+/// *coupled* case: the locals share scoreboard symbols.
 const MC_COUPLED: &str = r#"
     scesc m1 on clk1 {
         instances { Master, S_CNT }
@@ -112,8 +112,7 @@ const MC_COUPLED: &str = r#"
     multiclock mc { charts { m1, m2 } cause req1 -> req3; cause data3 -> data1; }
 "#;
 
-/// Intra-chart causality only — disjoint scoreboard footprints, the
-/// clock-major fast path.
+/// Intra-chart causality only — disjoint scoreboard footprints.
 const MC_UNCOUPLED: &str = r#"
     scesc m1 on clk1 {
         instances { A, B }
@@ -171,8 +170,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Multi-clock `scan_batch` equals step-wise `scan` over arbitrary
-    /// clock interleavings, for both the coupled (interleaved) and
-    /// uncoupled (clock-major) execution strategies.
+    /// clock interleavings, for specs with coupled (cross-domain) and
+    /// uncoupled (intra-chart only) scoreboard traffic.
     #[test]
     fn multiclock_scan_batch_equals_scan(steps in arb_global_steps(40)) {
         let clocks = two_clock_set();
@@ -183,7 +182,7 @@ proptest! {
                 .unwrap();
             let reference = mm.scan(&clocks, &run);
             let batched = mm.scan_batch(&clocks, &run);
-            prop_assert_eq!(&batched, &reference, "coupled={}", mm.compiled().coupled());
+            prop_assert_eq!(&batched, &reference, "spec {}", src);
         }
     }
 
@@ -405,7 +404,7 @@ proptest! {
     /// The sharded executor over a mixed single/multi-clock fleet fed
     /// globally is bit-identical to the serial
     /// `MonitorBank::feed_global`, for any shard count, chunk size,
-    /// clock interleaving and both multi-clock execution strategies.
+    /// clock interleaving and coupled or uncoupled multi-clock spec.
     #[test]
     fn sharded_global_fleet_equals_serial_bank(
         steps in arb_global_steps(32),
@@ -439,7 +438,7 @@ proptest! {
             prop_assert_eq!(report.singles[f2].log.all().unwrap(), bank.hits(b2));
             prop_assert_eq!(
                 report.multis[fm].log.all().unwrap(), bank.multiclock_hits(bm),
-                "coupled={} jobs={} chunk={}", mm.compiled().coupled(), jobs, chunk
+                "spec {} jobs={} chunk={}", src, jobs, chunk
             );
             prop_assert_eq!(report.multis[fm].underflows, bank.multiclock_underflows(bm));
         }

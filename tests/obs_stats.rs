@@ -9,10 +9,12 @@
 use std::io::Write as _;
 
 use cesc::cli::{check_fleet, finish_stats, CheckOptions, StatsOptions};
+use cesc::core::{synthesize, SynthOptions};
 use cesc::expr::Valuation;
 use cesc::obs::{key, Obs, OBS_JSON_SCHEMA};
+use cesc::protocols::{ocp, traffic};
 use cesc::trace::{
-    write_vcd_global_to, ClockDomain, ClockSet, GlobalRun, Trace, VcdWriteOptions,
+    write_vcd, write_vcd_global_to, ClockDomain, ClockSet, GlobalRun, Trace, VcdWriteOptions,
 };
 
 /// Every target kind at once: four basic charts, one multiclock spec,
@@ -115,6 +117,100 @@ fn serial_and_sharded_runs_report_identical_semantic_counters() {
         let u = s.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization in [0,1]: {u}");
     }
+}
+
+#[test]
+fn engine_rate_is_over_engine_busy_time() {
+    let report = run_with_jobs(5_000, 1);
+    let ticks = report.counter(key::ENGINE_TICKS);
+    let busy_ns: u64 = report.shards.iter().map(|s| s.busy_ns).sum();
+    assert!(ticks > 0 && busy_ns > 0);
+    assert_eq!(
+        report.engine_mticks_per_s(),
+        Some(ticks as f64 * 1e3 / busy_ns as f64)
+    );
+    // the engine is busy for only part of the run: setup, ingest and
+    // render fall outside every shard's busy time
+    assert!(
+        busy_ns < report.wall_ns,
+        "busy {busy_ns} ns vs wall {} ns",
+        report.wall_ns
+    );
+}
+
+/// The deployment path end to end: an OCP burst-read dump (bursts
+/// separated by idle gaps) is checked from bytes through
+/// `check_fleet`. The optimized members must take the bit-sliced
+/// engine, and every chart's report must equal the step-wise
+/// reference scan of the same trace.
+#[test]
+fn ocp_burst_dump_takes_the_sliced_engine_with_stepwise_verdicts() {
+    let spec = format!("{}{}", ocp::BURST_READ_SRC, ocp::SIMPLE_READ_SRC);
+    let doc = cesc::chart::parse_document(&spec).unwrap();
+    let window = ocp::burst_read_window(&doc.alphabet);
+    let cfg = traffic::TrafficConfig {
+        transactions: 400,
+        gap: 96,
+        noise_density: 0.01,
+        seed: 7,
+    };
+    let trace = traffic::transaction_stream(&doc.alphabet, &window, &cfg);
+    let write = VcdWriteOptions::default();
+    let vcd = write_vcd(&trace, &doc.alphabet, &write);
+
+    let obs = Obs::enabled();
+    let opts = CheckOptions {
+        all_matches: true,
+        stats: StatsOptions {
+            obs: obs.clone(),
+            ..StatsOptions::default()
+        },
+        ..CheckOptions::default()
+    };
+    let outcome = check_fleet(&spec, &[], true, vcd.as_bytes(), None, &opts).unwrap();
+    let report = obs.report("check");
+    assert!(
+        report.counter(key::ENGINE_WORDS) > 0,
+        "the sliced engine never ran"
+    );
+    assert!(
+        report.counter(key::ENGINE_DENSE_WORDS) < report.counter(key::ENGINE_WORDS),
+        "idle gaps must be skipped word-wise"
+    );
+
+    let mut detected = 0;
+    for chart in &doc.charts {
+        let reference = synthesize(chart, &SynthOptions::default())
+            .unwrap()
+            .scan(&trace);
+        // tick k is sampled at VCD time 2k * half_period
+        let times: Vec<u64> = reference
+            .matches
+            .iter()
+            .map(|&k| 2 * k * write.half_period)
+            .collect();
+        let verdict = if times.is_empty() {
+            "NOT OBSERVED"
+        } else {
+            "DETECTED"
+        };
+        let line = format!(
+            "chart `{}` (clock {}) over {} sampled cycles: {verdict} — {} occurrence(s) at times \
+             {times:?}, scoreboard underflows {}",
+            chart.name(),
+            chart.clock(),
+            reference.ticks,
+            times.len(),
+            reference.underflows
+        );
+        assert!(
+            outcome.output.lines().any(|l| l == line),
+            "want `{line}` in:\n{}",
+            outcome.output
+        );
+        detected += usize::from(!times.is_empty());
+    }
+    assert!(detected > 0, "no chart matched — the comparison is vacuous");
 }
 
 #[test]

@@ -414,7 +414,7 @@ proptest! {
 // ----------------------------------------------------- multi-clock pin
 
 /// Fig 2 style multi-clock spec with cross-domain causality (coupled)
-/// and an intra-chart-only variant (uncoupled, clock-major path).
+/// and an intra-chart-only variant (uncoupled).
 const MC_COUPLED: &str = r#"
     scesc m1 on clk1 {
         instances { Master, S_CNT }

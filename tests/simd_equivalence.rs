@@ -6,15 +6,18 @@
 //! detection ticks, same final state, same underflow count. The wide
 //! sections stress the 63/64/65-symbol alphabet boundary where the
 //! `u64` column transpose runs out of lanes and states must fall back
-//! to exact scalar stepping, and the segment section pins
+//! to exact scalar stepping, the `feed_global` section pins the
+//! member dispatch (sliced vs scalar selection switching mid-stream)
+//! over global steps, and the segment section pins
 //! `cesc_par::scan_segmented` against the serial executor for jobs
 //! 1–8 and arbitrary window splits.
 
-use cesc::core::{synthesize, CompileOptions, SynthOptions};
+use cesc::core::{synthesize, CompileOptions, MonitorBank, SynthOptions};
 use cesc::expr::{SymbolId, Valuation};
 use cesc::obs::Obs;
 use cesc::par::{scan_segmented, SegmentOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
+use cesc::trace::{ClockDomain, ClockSet, GlobalStep};
 use proptest::prelude::*;
 
 const SYMS: usize = 4;
@@ -128,8 +131,95 @@ fn causality_doc() -> cesc::chart::Document {
     .unwrap()
 }
 
+/// Alternating dense bursts (random valuations) and idle gaps (empty
+/// valuations), each long enough to span whole 64-tick words, so the
+/// member dispatch sees chunks where every word falls back as well as
+/// quiet ones.
+fn arb_bursty_trace() -> impl Strategy<Value = Vec<u8>> {
+    let burst = prop::collection::vec(0u8..(1 << SYMS) as u8, 64..320);
+    let gap = (64usize..400).prop_map(|n| vec![0u8; n]);
+    prop::collection::vec((burst, gap), 1..5).prop_map(|segments| {
+        segments
+            .into_iter()
+            .flat_map(|(b, g)| b.into_iter().chain(g))
+            .collect()
+    })
+}
+
+/// Lays `trace` out as global steps at times `0, 1, ...`: before
+/// tick `i` a second `noise` domain (no member listens to it) takes a
+/// step of its own whenever the cycled `noise[i]` is 0, so the
+/// projection drops steps and hit times are not tick indices.
+fn global_steps(trace: &[Valuation], noise: &[u8]) -> (ClockSet, Vec<GlobalStep>, Vec<u64>) {
+    let mut clocks = ClockSet::new();
+    let clk = clocks.add(ClockDomain::new("clk", 1, 0));
+    let other = clocks.add(ClockDomain::new("noise", 1, 0));
+    let (mut steps, mut times) = (Vec::new(), Vec::new());
+    for (&v, &n) in trace.iter().zip(noise.iter().cycle()) {
+        if n == 0 {
+            let time = steps.len() as u64;
+            steps.push(GlobalStep {
+                time,
+                ticks: vec![(other, Valuation::from_bits(0b1111))],
+            });
+        }
+        let time = steps.len() as u64;
+        times.push(time);
+        steps.push(GlobalStep {
+            time,
+            ticks: vec![(clk, v)],
+        });
+    }
+    (clocks, steps, times)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `MonitorBank::feed_global` with optimized members: the sliced
+    /// compile (whose dispatch switches between the sliced and scalar
+    /// loops as bursts and gaps alternate), the scalar compile and the
+    /// step-wise scan agree on global-time hits, ticks and underflows,
+    /// for a random pattern chart and a scoreboard chart side by side.
+    #[test]
+    fn feed_global_sliced_equals_scalar_and_stepwise(
+        pattern in arb_pattern(),
+        raw in arb_bursty_trace(),
+        noise in prop::collection::vec(0u8..5, 1..16),
+        chunk in 1usize..160,
+    ) {
+        let Some((ids, chart)) = build_chart(&pattern, SYMS, [0, 1, 2, 3]) else {
+            return Ok(());
+        };
+        let doc = causality_doc();
+        let monitors = [
+            synthesize(&chart, &SynthOptions::default()).unwrap(),
+            synthesize(doc.chart("cz").unwrap(), &SynthOptions::default()).unwrap(),
+        ];
+        let trace = decode_trace(&raw, &ids);
+        let (clocks, steps, times) = global_steps(&trace, &noise);
+
+        let mut runs = Vec::new();
+        for opts in [sliced(), scalar()] {
+            let mut bank = MonitorBank::new();
+            for m in &monitors {
+                bank.add_compiled(m.compiled_with(&opts));
+            }
+            for c in steps.chunks(chunk) {
+                bank.feed_global(&clocks, c);
+            }
+            let reports = bank.reports();
+            runs.push((0..monitors.len())
+                .map(|i| (bank.hits(i).to_vec(), reports[i].ticks, reports[i].underflows))
+                .collect::<Vec<_>>());
+        }
+        for (i, m) in monitors.iter().enumerate() {
+            let reference = m.scan(trace.iter().copied());
+            let hits: Vec<u64> = reference.matches.iter().map(|&k| times[k as usize]).collect();
+            prop_assert_eq!(&runs[0][i], &(hits, reference.ticks, reference.underflows), "monitor {}", i);
+        }
+        prop_assert_eq!(&runs[1], &runs[0]);
+    }
 
     /// Narrow alphabet: bit-sliced == scalar compiled == step-wise ==
     /// `scan_batch` for any chart × trace × chunking.

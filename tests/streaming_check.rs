@@ -1,16 +1,15 @@
-//! End-to-end streaming check: a large generated multi-clock VCD on
-//! disk is verified by `cesc::cli::check` through a `BufReader` — the
+//! End-to-end streaming check: large generated VCDs on disk are
+//! verified by `cesc::cli::check_fleet` through a `BufReader` — the
 //! deployment where the dump never fits in memory. Exercises the full
 //! pipeline: `write_vcd_global_to` → file → `GlobalVcdStream` →
-//! `CompiledMultiClock` batch execution → summarised CLI report. The
-//! fleet-mode section drives `cesc::cli::check_fleet` (`cesc check
-//! --jobs 4 --all-charts`) over the same class of 100k+-tick dumps:
-//! every chart, multiclock spec and `implies(...)` assertion verified
-//! in one sharded pass.
+//! `MonitorBank::feed_global` → summarised CLI report, for one named
+//! target (`cesc check --chart NAME`) and for `--jobs 4 --all-charts`
+//! over the same class of 100k+-tick dumps: every chart, multiclock
+//! spec and `implies(...)` assertion verified in one sharded pass.
 
 use std::io::{BufWriter, Write as _};
 
-use cesc::cli::{check, check_fleet, CheckOptions};
+use cesc::cli::{check_fleet, CheckOptions};
 use cesc::core::{synthesize_multiclock, SynthOptions};
 use cesc::expr::Valuation;
 use cesc::trace::{
@@ -73,7 +72,17 @@ fn large_multiclock_vcd_checks_via_streaming_reader() {
 
     // ...and check it back through the CLI's streaming path
     let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let out = check(MULTI_SPEC, "pair", reader, "clk", &CheckOptions::default()).unwrap();
+    let names = ["pair".to_owned()];
+    let out = check_fleet(
+        MULTI_SPEC,
+        &names,
+        false,
+        reader,
+        None,
+        &CheckOptions::default(),
+    )
+    .unwrap()
+    .output;
     assert!(out.contains("DETECTED"), "{out}");
     assert!(out.contains(&format!("{PER_DOMAIN} occurrence(s)")), "{out}");
     assert!(out.contains(&format!("over {} global steps", 2 * PER_DOMAIN)), "{out}");
@@ -283,7 +292,10 @@ fn large_single_clock_vcd_checks_via_streaming_reader() {
     }
 
     let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let out = check(SPEC, "pulse", reader, "clk", &CheckOptions::default()).unwrap();
+    let names = ["pulse".to_owned()];
+    let out = check_fleet(SPEC, &names, false, reader, None, &CheckOptions::default())
+        .unwrap()
+        .output;
     assert!(out.contains(&format!("over {TICKS} sampled cycles")), "{out}");
     assert!(out.contains(&format!("{} occurrence(s)", TICKS / 2)), "{out}");
     assert!(out.len() < 400, "summary stays short: {} bytes", out.len());
