@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-bench verify-par verify-simd verify-rtl verify-spec verify-fuzz verify-clippy verify-lint verify-prove verify-obs build test doc bench bench-json clean
+.PHONY: verify verify-bench verify-par verify-simd verify-rtl verify-spec verify-fuzz verify-clippy verify-lint verify-prove verify-obs build test doc bench bench-json loc clean
 
 verify: ## release build + examples + full test suite + clean rustdoc + clippy -D warnings + benches compile + parallel equivalence + bit-sliced engine gate + RTL co-sim + spec pipeline + static-analysis gate + fuzz campaign + observability gate
 	$(CARGO) build --release
@@ -103,6 +103,9 @@ bench: ## regenerate the evaluation numbers (criterion shim prints to stdout)
 bench-json: ## run every bench and collect the one-line JSON trajectory records into BENCH_results.json (a JSON array)
 	$(CARGO) bench -p cesc-bench | tee target/bench_raw.txt
 	grep '^{"bench"' target/bench_raw.txt | sed -e '$$!s/$$/,/' -e '1s/^/[/' -e '$$s/$$/]/' > BENCH_results.json
+
+loc: ## the tracked line count: every *.rs under crates/ (vendor excluded) plus src/
+	@find crates src -name '*.rs' -not -path 'crates/vendor/*' -exec cat {} + | wc -l
 
 clean:
 	$(CARGO) clean

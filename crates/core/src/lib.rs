@@ -27,9 +27,8 @@
 //!   multi-clock engine: per-domain flat tables over one shared
 //!   counts-only scoreboard, ticks dispatched in global-time order;
 //! * [`simd`] — the bit-sliced engine: 64 ticks evaluated per machine
-//!   word over transposed bit columns, plus the speculative window
-//!   runs ([`CompiledMonitor::speculate_window`] / [`WindowRun`])
-//!   behind `cesc-par`'s trace-segment parallelism;
+//!   word over transposed bit columns, quiet stretches skipped in
+//!   bulk and every active tick delegated to the exact scalar step;
 //! * [`optimize`] / [`CompileOptions`] — the optimization pass
 //!   pipeline: unreachable-state and dead-transition pruning with
 //!   state renumbering at the automaton level, guard-program
@@ -114,5 +113,4 @@ pub use monitor::{
 pub use multibatch::{CompiledMultiClock, MultiClockBatchExec, MultiClockBatchState};
 pub use multiclock::{synthesize_multiclock, MultiClockExec, MultiClockMonitor};
 pub use scoreboard::{Action, Occurrence, Scoreboard, SharedScoreboard};
-pub use simd::WindowRun;
 pub use synth::{synthesize, OverlapPolicy, SynthError, SynthOptions};

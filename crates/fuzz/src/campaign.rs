@@ -392,7 +392,7 @@ pub fn run_parser_sweep(cfg: &CampaignConfig) -> SweepReport {
     report
 }
 
-/// Panic-freedom sweep over the streaming VCD readers: raw hostile
+/// Panic-freedom sweep over the streaming VCD reader: raw hostile
 /// bytes and mutated well-formed dumps.
 pub fn run_vcd_sweep(cfg: &CampaignConfig) -> SweepReport {
     let _span = cfg.obs.span("fuzz.vcd-sweep");
@@ -414,9 +414,6 @@ pub fn run_vcd_sweep(cfg: &CampaignConfig) -> SweepReport {
         report.cases += 1;
         if let Err(p) = total::vcd_reader(&bytes) {
             report.panics.push(format!("vcd reader: {p}"));
-        }
-        if let Err(p) = total::global_vcd_reader(&bytes) {
-            report.panics.push(format!("global vcd reader: {p}"));
         }
     }
     cfg.obs.counter(cesc_obs::key::FUZZ_CASES).add(report.cases as u64);

@@ -14,7 +14,7 @@
 //!   return without panicking.
 //! * `.expr` — guard expressions, one per line, through the
 //!   expression parser.
-//! * `.vcd` / `.bin` — bytes through both streaming VCD readers (and
+//! * `.vcd` / `.bin` — bytes through the streaming VCD reader (and
 //!   the chart parser, since hostile bytes are hostile everywhere).
 //!
 //! A differential entry is self-contained:
@@ -268,8 +268,6 @@ pub fn replay_file(path: &Path, summary: &mut ReplaySummary) -> Result<(), Strin
         }
         Some("vcd") | Some("bin") => {
             total::vcd_reader(&bytes).map_err(|p| format!("{name}: panicked: {p}"))?;
-            total::global_vcd_reader(&bytes)
-                .map_err(|p| format!("{name}: panicked (global): {p}"))?;
             total::chart_parser(&bytes).map_err(|p| format!("{name}: panicked (chart): {p}"))?;
             summary.vcd += 1;
             Ok(())

@@ -17,7 +17,7 @@
 //! `(spec × trace × chunking × jobs)` case through all four paths and
 //! reports the first disagreement; its [`oracle::total`] module checks
 //! panic-freedom (errors are fine, unwinding is not) of the chart
-//! parser, expression parser and VCD readers. [`campaign`] drives
+//! parser, expression parser and VCD reader. [`campaign`] drives
 //! bounded, fully deterministic campaigns and minimizes any failure;
 //! [`corpus`] serializes minimized failures into `tests/corpus/`
 //! entries that replay as ordinary unit tests.

@@ -7,12 +7,13 @@
 //! each rising clock edge — so monitors synthesized by `cesc-core` can
 //! check waveforms from any HDL simulator.
 //!
-//! Reading is *streaming*: both [`VcdStream`] (single clock, yields
-//! [`Valuation`] chunks) and [`GlobalVcdStream`] (many clocks, yields
-//! [`GlobalStep`] chunks) pull lines from any [`io::BufRead`], so a
-//! multi-GB dump is checked in constant memory — neither the VCD text
-//! nor the decoded trace is ever resident in full. The `&str`
-//! constructors remain as thin wrappers over the byte-slice reader.
+//! Reading is *streaming*: [`GlobalVcdStream`] samples any number of
+//! clocks and yields [`GlobalStep`] chunks pulled line by line from
+//! any [`io::BufRead`], so a multi-GB dump is checked in constant
+//! memory — neither the VCD text nor the decoded trace is ever
+//! resident in full. A single-clock read is a one-clock plan through
+//! the same reader; [`read_vcd`] drains one into a [`Trace`]. The
+//! `&str` constructor is a thin wrapper over the byte-slice reader.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -235,7 +236,7 @@ pub fn write_vcd_global(
     String::from_utf8(out).expect("VCD output is ASCII")
 }
 
-/// Error from the VCD readers.
+/// Error from the VCD reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VcdReadError {
     /// A `$var` declaration, timestamp or value change could not be
@@ -304,16 +305,15 @@ fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
         })
 }
 
-/// One classified line of the VCD value-change section — the parsing
-/// both streaming readers share, so their accepted syntax cannot
-/// drift. (The sampling loops themselves stay separate: the
-/// single-clock reader emits plain [`Valuation`]s with no per-step
-/// allocation, which a shared `GlobalStep`-shaped engine would lose.)
+/// One classified line of the VCD value-change section.
 #[derive(Clone, Copy)]
 enum BodyLine<'a> {
     /// Blank line, `$...` directive or real-valued change — no effect
     /// on sampling.
     Skip,
+    /// A `$comment` whose `$end` is on a later line: every line up to
+    /// and including that `$end` is comment text.
+    CommentOpen,
     /// `#t` timestamp marker.
     Time(u64),
     /// Scalar or vector value change.
@@ -322,6 +322,10 @@ enum BodyLine<'a> {
 
 fn classify_body_line(line: &str, lineno: usize) -> Result<BodyLine<'_>, VcdReadError> {
     if line.is_empty() || line.starts_with('$') {
+        let mut toks = line.split_whitespace();
+        if toks.next() == Some("$comment") && !toks.any(|t| t == "$end") {
+            return Ok(BodyLine::CommentOpen);
+        }
         return Ok(BodyLine::Skip); // directives ($dumpvars bodies are value changes)
     }
     if line.starts_with(['r', 'R']) {
@@ -424,195 +428,6 @@ fn parse_header<R: BufRead>(
     Ok(header)
 }
 
-/// Streaming VCD reader: parses the header eagerly, then yields
-/// sampled valuations in caller-sized chunks instead of materialising
-/// the whole trace.
-///
-/// This is the input side of the batched monitoring path. The reader
-/// pulls lines from any [`io::BufRead`] — a `BufReader<File>` for
-/// dumps on disk, a byte slice for in-memory text — so resident memory
-/// is one line plus one decoded chunk, regardless of dump size.
-/// [`read_vcd`] is the convenience wrapper that drains the stream into
-/// one [`Trace`].
-///
-/// # Examples
-///
-/// ```
-/// use cesc_expr::{Alphabet, Valuation};
-/// use cesc_trace::{write_vcd, VcdStream, VcdWriteOptions, Trace};
-///
-/// let mut ab = Alphabet::new();
-/// let req = ab.event("req");
-/// let t = Trace::from_elements(vec![Valuation::of([req]); 10]);
-/// let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
-///
-/// // `new` borrows a &str; `from_reader` accepts any io::BufRead
-/// let mut stream = VcdStream::new(&vcd, &ab, "clk")?;
-/// let mut chunk = Vec::new();
-/// let mut total = 0;
-/// while stream.next_chunk(&mut chunk, 4)? > 0 {
-///     total += chunk.len(); // at most 4 ticks resident at a time
-/// }
-/// assert_eq!(total, 10);
-/// # Ok::<(), cesc_trace::VcdReadError>(())
-/// ```
-#[derive(Debug)]
-pub struct VcdStream<R> {
-    reader: R,
-    /// Reused line buffer.
-    line: String,
-    /// 1-based number of the last line read.
-    lineno: usize,
-    code_to_symbol: HashMap<String, SymbolId>,
-    clock_code: String,
-    current: Valuation,
-    clock_level: bool,
-    /// All changes dumped at one `#time` are simultaneous: a rising
-    /// clock edge samples the signal values *after* every change of
-    /// that timestamp has been applied, so the sample is deferred
-    /// until the timestamp advances (or input ends).
-    pending_sample: bool,
-    cur_time: u64,
-    done: bool,
-}
-
-impl<'a> VcdStream<&'a [u8]> {
-    /// Parses the VCD header of in-memory text and positions the
-    /// stream at the first value change — a thin wrapper over
-    /// [`VcdStream::from_reader`] on the string's bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`VcdStream::from_reader`].
-    pub fn new(vcd: &'a str, alphabet: &Alphabet, clock_name: &str) -> Result<Self, VcdReadError> {
-        Self::from_reader(vcd.as_bytes(), alphabet, clock_name)
-    }
-}
-
-impl<R: BufRead> VcdStream<R> {
-    /// Parses the VCD header from `reader` and positions the stream at
-    /// the first value change. The reader is consumed line by line —
-    /// the dump is never resident in full.
-    ///
-    /// Signals present in the VCD but absent from `alphabet` are
-    /// ignored; alphabet symbols absent from the VCD read as constant
-    /// false. Vector declarations may carry a range (`data[7:0]`, or
-    /// `data [7:0]` as a separate token) — both resolve to the base
-    /// name. Multi-bit vector changes (`b... id`) are treated as true
-    /// iff any bit is `1`; `x`/`z` bits read as false.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VcdReadError::MissingClock`] if `clock_name` is not
-    /// declared, [`VcdReadError::Malformed`] on an unparseable `$var`
-    /// declaration, or [`VcdReadError::Io`] if the reader fails.
-    pub fn from_reader(
-        mut reader: R,
-        alphabet: &Alphabet,
-        clock_name: &str,
-    ) -> Result<Self, VcdReadError> {
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let header = parse_header(&mut reader, &mut line, &mut lineno, alphabet, &[clock_name])?;
-        let clock_code = header.clock_codes.into_iter().next().flatten().ok_or_else(|| {
-            VcdReadError::MissingClock {
-                name: clock_name.to_owned(),
-            }
-        })?;
-        Ok(VcdStream {
-            reader,
-            line,
-            lineno,
-            code_to_symbol: header.code_to_symbol,
-            clock_code,
-            current: Valuation::empty(),
-            clock_level: false,
-            pending_sample: false,
-            cur_time: 0,
-            done: false,
-        })
-    }
-
-    /// Clears `buf` and refills it with up to `max` sampled
-    /// valuations, returning how many were produced. `Ok(0)` signals
-    /// end of input — except that `max == 0` also returns `Ok(0)`
-    /// without consuming anything (like `Read::read` with an empty
-    /// buffer), so never poll for end of input with a zero chunk
-    /// size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VcdReadError::Malformed`] on unparseable value
-    /// changes or timestamps, [`VcdReadError::Io`] if the reader
-    /// fails. An error poisons the stream: every subsequent call
-    /// returns `Ok(0)`, so a caller that retries cannot silently
-    /// resume past corrupt input.
-    pub fn next_chunk(
-        &mut self,
-        buf: &mut Vec<Valuation>,
-        max: usize,
-    ) -> Result<usize, VcdReadError> {
-        buf.clear();
-        if self.done || max == 0 {
-            return Ok(0);
-        }
-        while buf.len() < max {
-            let more = match read_line(&mut self.reader, &mut self.line, &mut self.lineno) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !more {
-                self.done = true;
-                if self.pending_sample {
-                    self.pending_sample = false;
-                    buf.push(self.current);
-                }
-                break;
-            }
-            let classified = classify_body_line(self.line.trim(), self.lineno)
-                .and_then(|parsed| match parsed {
-                    // Time survives only when the instant advanced, so
-                    // the arm below is exactly "flush the sample"
-                    BodyLine::Time(t) => advance_time(&mut self.cur_time, t, self.lineno)
-                        .map(|advanced| if advanced { parsed } else { BodyLine::Skip }),
-                    other => Ok(other),
-                });
-            match classified {
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Ok(BodyLine::Skip) => {}
-                Ok(BodyLine::Time(_)) => {
-                    // time advanced: emit the deferred sample
-                    if self.pending_sample {
-                        self.pending_sample = false;
-                        buf.push(self.current);
-                    }
-                }
-                Ok(BodyLine::Change(value, code)) => {
-                    if code == self.clock_code {
-                        if value && !self.clock_level {
-                            self.pending_sample = true; // rising edge: sample at block end
-                        }
-                        self.clock_level = value;
-                    } else if let Some(&id) = self.code_to_symbol.get(code) {
-                        if value {
-                            self.current.insert(id);
-                        } else {
-                            self.current.remove(id);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(buf.len())
-    }
-}
-
 /// One clock a [`GlobalVcdStream`] samples on, optionally with a mask
 /// restricting which symbols its ticks carry (a multi-clock chart's
 /// local monitor should only see its own chart's signals).
@@ -650,10 +465,16 @@ impl VcdClockSpec {
     }
 }
 
-/// Streaming multi-clock VCD reader: samples every requested clock's
-/// rising edges and yields [`GlobalStep`] chunks — the input side of
-/// the batched multi-clock monitoring path (`cesc check` on a
-/// `multiclock` spec).
+/// Streaming VCD reader: parses the header eagerly, then samples every
+/// requested clock's rising edges and yields [`GlobalStep`] chunks in
+/// caller-sized batches — the input side of every `cesc check` route.
+/// A single-clock check is a one-clock plan; [`read_vcd`] is the
+/// convenience wrapper that drains one into a [`Trace`].
+///
+/// The reader pulls lines from any [`io::BufRead`] — a
+/// `BufReader<File>` for dumps on disk, a byte slice for in-memory
+/// text — so resident memory is one line plus one decoded chunk,
+/// regardless of dump size.
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`] index `i`
 /// in the produced steps, so a consumer whose locals are listed in the
@@ -744,6 +565,13 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// the first value change. Every clock in `clocks` must be
     /// declared.
     ///
+    /// Signals present in the VCD but absent from `alphabet` are
+    /// ignored; alphabet symbols absent from the VCD read as constant
+    /// false. Vector declarations may carry a range (`data[7:0]`, or
+    /// `data [7:0]` as a separate token) — both resolve to the base
+    /// name. Multi-bit vector changes (`b... id`) are treated as true
+    /// iff any bit is `1`; `x`/`z` bits read as false.
+    ///
     /// # Errors
     ///
     /// Returns [`VcdReadError::MissingClock`] naming the first
@@ -810,16 +638,30 @@ impl<R: BufRead> GlobalVcdStream<R> {
         self.any_pending = false;
     }
 
+    /// Consumes the lines of a multi-line `$comment` up to and
+    /// including the one carrying its `$end` (or to end of input).
+    fn skip_comment(&mut self) -> Result<(), VcdReadError> {
+        while read_line(&mut self.reader, &mut self.line, &mut self.lineno)? {
+            if self.line.split_whitespace().any(|t| t == "$end") {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     /// Clears `buf` and refills it with up to `max` global steps,
     /// returning how many were produced. `Ok(0)` signals end of input
-    /// (`max == 0` also returns `Ok(0)` without consuming anything).
+    /// — except that `max == 0` also returns `Ok(0)` without consuming
+    /// anything (like `Read::read` with an empty buffer), so never
+    /// poll for end of input with a zero chunk size.
     ///
     /// # Errors
     ///
     /// Returns [`VcdReadError::Malformed`] on unparseable value
     /// changes, unparseable or decreasing timestamps, or
-    /// [`VcdReadError::Io`] if the reader fails. Errors poison the
-    /// stream (subsequent calls return `Ok(0)`).
+    /// [`VcdReadError::Io`] if the reader fails. An error poisons the
+    /// stream: every subsequent call returns `Ok(0)`, so a caller that
+    /// retries cannot silently resume past corrupt input.
     pub fn next_chunk(
         &mut self,
         buf: &mut Vec<GlobalStep>,
@@ -861,6 +703,12 @@ impl<R: BufRead> GlobalVcdStream<R> {
                     return Err(e);
                 }
                 Ok(BodyLine::Skip) => {}
+                Ok(BodyLine::CommentOpen) => {
+                    if let Err(e) = self.skip_comment() {
+                        self.done = true;
+                        return Err(e);
+                    }
+                }
                 Ok(BodyLine::Time(_)) => self.flush_at(prev_time, buf),
                 Ok(BodyLine::Change(value, code)) => {
                     if let Some(indices) = self.clock_codes.get(code) {
@@ -920,16 +768,46 @@ fn parse_change(line: &str, lineno: usize) -> Result<(bool, &str), VcdReadError>
                 })
             }
         };
-        Ok((value, chars.as_str().trim()))
+        let code = chars.as_str().trim();
+        if code.is_empty() {
+            return Err(VcdReadError::Malformed {
+                line: lineno,
+                message: "scalar change missing identifier".to_owned(),
+            });
+        }
+        Ok((value, code))
     }
 }
 
 /// Parses VCD text and samples the signals named in `alphabet` at each
 /// rising edge of `clock_name`, returning the reconstructed trace.
 ///
-/// Convenience wrapper draining a [`VcdStream`] — use the stream
-/// directly (over a `BufReader<File>`) to check long waveforms in
-/// bounded memory.
+/// Convenience wrapper draining a one-clock [`GlobalVcdStream`] (one
+/// tick per step) — use the stream directly (over a
+/// `BufReader<File>`) to check long waveforms in bounded memory.
+///
+/// # Examples
+///
+/// ```
+/// use cesc_expr::{Alphabet, Valuation};
+/// use cesc_trace::{read_vcd, write_vcd, GlobalVcdStream, Trace, VcdClockSpec, VcdWriteOptions};
+///
+/// let mut ab = Alphabet::new();
+/// let req = ab.event("req");
+/// let t = Trace::from_elements(vec![Valuation::of([req]); 10]);
+/// let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
+/// assert_eq!(read_vcd(&vcd, &ab, "clk")?, t);
+///
+/// // the same read as a stream: a one-clock plan, one tick per step
+/// let mut stream = GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("clk")])?;
+/// let mut chunk = Vec::new();
+/// let mut total = 0;
+/// while stream.next_chunk(&mut chunk, 4)? > 0 {
+///     total += chunk.len(); // at most 4 ticks resident at a time
+/// }
+/// assert_eq!(total, 10);
+/// # Ok::<(), cesc_trace::VcdReadError>(())
+/// ```
 ///
 /// # Errors
 ///
@@ -940,11 +818,11 @@ pub fn read_vcd(
     alphabet: &Alphabet,
     clock_name: &str,
 ) -> Result<Trace, VcdReadError> {
-    let mut stream = VcdStream::new(vcd, alphabet, clock_name)?;
+    let mut stream = GlobalVcdStream::new(vcd, alphabet, &[VcdClockSpec::new(clock_name)])?;
     let mut trace = Trace::new();
     let mut chunk = Vec::new();
     while stream.next_chunk(&mut chunk, 4096)? > 0 {
-        trace.extend(chunk.iter().copied());
+        trace.extend(chunk.iter().map(|step| step.ticks[0].1));
     }
     Ok(trace)
 }
@@ -953,6 +831,18 @@ pub fn read_vcd(
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
+
+    fn one_clock(name: &str) -> [VcdClockSpec; 1] {
+        [VcdClockSpec::new(name)]
+    }
+
+    /// The valuations of a one-clock chunk: every step is one tick.
+    fn one_tick_each(chunk: &[GlobalStep]) -> impl Iterator<Item = Valuation> + '_ {
+        chunk.iter().map(|step| {
+            assert_eq!(step.ticks.len(), 1, "one clock, one tick per step");
+            step.ticks[0].1
+        })
+    }
 
     fn setup() -> (Alphabet, SymbolId, SymbolId) {
         let mut ab = Alphabet::new();
@@ -1205,7 +1095,7 @@ b10000000 \"
             "$var wire 1 ! $end\n$enddefinitions $end\n",
             "$var wire 1 $end\n$enddefinitions $end\n",
         ] {
-            let err = VcdStream::new(vcd, &ab, "clk").unwrap_err();
+            let err = GlobalVcdStream::new(vcd, &ab, &one_clock("clk")).unwrap_err();
             assert!(matches!(err, VcdReadError::Malformed { line: 1, .. }), "{err}");
         }
     }
@@ -1270,7 +1160,7 @@ $enddefinitions $end
         let whole = read_vcd(&vcd, &ab, "clk").unwrap();
         assert_eq!(whole, t);
         for chunk_size in [1usize, 3, 7, 64, 1000] {
-            let mut stream = VcdStream::new(&vcd, &ab, "clk").unwrap();
+            let mut stream = GlobalVcdStream::new(&vcd, &ab, &one_clock("clk")).unwrap();
             let mut got = Trace::new();
             let mut chunk = Vec::new();
             loop {
@@ -1279,7 +1169,7 @@ $enddefinitions $end
                     break;
                 }
                 assert!(chunk.len() <= chunk_size);
-                got.extend(chunk.iter().copied());
+                got.extend(one_tick_each(&chunk));
             }
             assert_eq!(got, t, "chunk size {chunk_size}");
             // drained stream stays at EOF
@@ -1308,11 +1198,11 @@ $enddefinitions $end
         let whole = read_vcd(&vcd, &ab, "clk").unwrap();
 
         let reader = io::BufReader::with_capacity(7, vcd.as_bytes());
-        let mut stream = VcdStream::from_reader(reader, &ab, "clk").unwrap();
+        let mut stream = GlobalVcdStream::from_reader(reader, &ab, &one_clock("clk")).unwrap();
         let mut got = Trace::new();
         let mut chunk = Vec::new();
         while stream.next_chunk(&mut chunk, 16).unwrap() > 0 {
-            got.extend(chunk.iter().copied());
+            got.extend(one_tick_each(&chunk));
         }
         assert_eq!(got, whole);
     }
@@ -1332,7 +1222,7 @@ q\"
 #10
 1!
 ";
-        let mut stream = VcdStream::new(vcd, &ab, "clk").unwrap();
+        let mut stream = GlobalVcdStream::new(vcd, &ab, &one_clock("clk")).unwrap();
         let mut chunk = Vec::new();
         assert!(matches!(
             stream.next_chunk(&mut chunk, 100),
@@ -1348,9 +1238,75 @@ q\"
         let t = Trace::from_elements([Valuation::empty()]);
         let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
         assert!(matches!(
-            VcdStream::new(&vcd, &ab, "ghost"),
+            GlobalVcdStream::new(&vcd, &ab, &one_clock("ghost")),
             Err(VcdReadError::MissingClock { .. })
         ));
+    }
+
+    #[test]
+    fn multi_line_body_comment_is_skipped() {
+        // `$comment` text spans lines up to `$end`; a comment line that
+        // looks like a value change must not apply, while `$dumpvars`
+        // / `$dumpall` blocks still do
+        let (ab, a, b) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var wire 1 # burst $end
+$enddefinitions $end
+#0
+$dumpvars
+0!
+1\"
+0#
+$end
+#5
+$comment
+checkpoint reached
+1#
+$end
+1!
+#10
+0!
+$dumpall
+0\"
+1#
+0!
+$end
+$comment one line $end
+#15
+1!
+#20
+0!
+";
+        let t = read_vcd(vcd, &ab, "clk").unwrap();
+        assert_eq!(
+            t,
+            Trace::from_elements([Valuation::of([a]), Valuation::of([b])]),
+            "comment lines applied, or a dump block ignored"
+        );
+    }
+
+    #[test]
+    fn scalar_change_missing_identifier_errors() {
+        let (ab, _, _) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$enddefinitions $end
+#0
+1\"
+1
+#5
+1!
+";
+        match read_vcd(vcd, &ab, "clk").unwrap_err() {
+            VcdReadError::Malformed { line, message } => {
+                assert_eq!(line, 6);
+                assert!(message.contains("missing identifier"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

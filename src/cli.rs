@@ -24,15 +24,13 @@
 //! unless `--no-opt` asks for the raw tables. The subcommands only
 //! pick targets, stream waveforms and render reports.
 //!
-//! `check` has three library entry points, one per binary route: the
+//! `check` has two library entry points, one per binary route: the
 //! fleet-mode [`check_fleet`] — every selected chart, multiclock spec
 //! and `implies(...)` assertion is verified in **one pass** over the
 //! dump, optionally sharded across worker threads (`--jobs`), with
 //! text or JSON ([`CHECK_JSON_SCHEMA`]) output and a CI-gating
-//! `failed` flag — the trace-segment [`check_segmented`]
-//! (`--segments`), and the differential [`check_cosim`] (`--cosim`),
-//! which drives the dump
-//! into both the *interpreted emitted RTL* (`cesc-rtl`, lowered from
+//! `failed` flag — and the differential [`check_cosim`] (`--cosim`),
+//! which drives the dump into both the *interpreted emitted RTL* (`cesc-rtl`, lowered from
 //! the **optimized** monitor) and the **unoptimized** batch engine
 //! ([`cesc_spec::ChartSpec::baseline`]) and fails when their
 //! `match_pulse` streams ever disagree — making every `--cosim` run an
@@ -49,10 +47,10 @@ use cesc_hdl::{
     SvaOptions, TestbenchOptions, VerilogOptions,
 };
 use cesc_obs::{key, Obs};
-use cesc_par::{plan_shards, run_sharded, AssertSpec, Fleet, MatchLog, ParOptions};
+use cesc_par::{plan_shards, run_sharded, AssertSpec, Fleet, ParOptions};
 use cesc_rtl::CoSim;
 use cesc_spec::{SpecError, SpecOptions, SpecSet, TargetRef};
-use cesc_trace::{ClockId, GlobalVcdStream, VcdStream};
+use cesc_trace::{ClockId, GlobalVcdStream};
 
 use crate::json;
 
@@ -469,8 +467,7 @@ pub fn synth_all_with(
     Ok(listing)
 }
 
-/// Options for the `check` routes ([`check_fleet`], [`check_segmented`],
-/// [`check_cosim`]).
+/// Options for the `check` routes ([`check_fleet`], [`check_cosim`]).
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// Print every match tick/time instead of the default summary
@@ -486,10 +483,6 @@ pub struct CheckOptions {
     /// Skip the optimization pass pipeline and run the monitors
     /// exactly as synthesized — the `--no-opt` flag.
     pub no_opt: bool,
-    /// Split the dump into this many windows and run them with
-    /// trace-segment speculative parallelism — the `--segments N`
-    /// flag ([`check_segmented`]; `0` streams normally).
-    pub segments: usize,
     /// Observability switches (`--stats`/`--stats-json`/`--progress`).
     /// [`check_fleet`] records into an internal registry even when this
     /// one is disabled, so the JSON report's timing fields are always
@@ -504,7 +497,6 @@ impl Default for CheckOptions {
             jobs: 1,
             json: false,
             no_opt: false,
-            segments: 0,
             stats: StatsOptions::default(),
         }
     }
@@ -513,106 +505,6 @@ impl Default for CheckOptions {
 /// How many leading and trailing matches the default `check` summary
 /// prints; everything in between is elided as a count.
 pub const MATCH_EDGE: usize = 5;
-
-fn tally(opts: &CheckOptions) -> MatchLog {
-    MatchLog::new(MATCH_EDGE, opts.all_matches)
-}
-
-/// `cesc check --segments N`: trace-segment speculative parallelism
-/// for **one basic chart** — the single-big-monitor case `--jobs`
-/// fleet sharding cannot speed up.
-///
-/// The dump is decoded into a resident trace (unlike the streaming
-/// routes — random window access is what buys the parallelism), cut
-/// into `N` windows, and run through
-/// [`cesc_par::scan_segmented`]: every window executes speculatively
-/// from every reachable monitor state across [`CheckOptions::jobs`]
-/// worker threads, clean runs are adopted at the stitch joins and the
-/// rest replay exactly, so the verdict is bit-identical to the serial
-/// scan. The per-event *may-be-non-zero* scoreboard mask that bounds
-/// adoption comes from the chart's counter-bounds analysis
-/// ([`cesc_spec::ChartSpec::bounds`]).
-pub fn check_segmented(
-    source: &str,
-    chart_name: &str,
-    vcd: impl BufRead,
-    clock_override: Option<&str>,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let obs = &opts.stats.obs;
-    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
-    let idx = match specs.resolve(chart_name).map_err(lift)? {
-        TargetRef::Chart(i) => i,
-        TargetRef::Multi(_) | TargetRef::Assert(_) => {
-            return Err(CliError::Pipeline(format!(
-                "--segments parallelizes one basic chart's monitor over the trace; \
-                 `{chart_name}` is not a basic chart"
-            )))
-        }
-    };
-    let chart = &specs.document().charts[idx];
-    let spec = specs.chart_spec(idx).map_err(lift)?;
-    let clock = clock_override.unwrap_or(chart.clock());
-    let mut stream = VcdStream::from_reader(vcd, specs.alphabet(), clock)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-
-    // window speculation needs random access: buffer the decoded trace
-    // (one Valuation per sampled cycle — far smaller than the VCD text)
-    let decode_span = obs.span("decode");
-    let mut trace: Vec<cesc_expr::Valuation> = Vec::new();
-    let mut chunk = Vec::new();
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        trace.extend_from_slice(&chunk);
-    }
-    drop(decode_span);
-
-    // may-be-non-zero scoreboard events: everything the monitor
-    // touches, minus what the interval analysis proved stays [0, 0]
-    let compiled = spec.compiled();
-    let mut may = compiled.touched_symbols();
-    for (e, b) in spec.bounds().bounds() {
-        if b.hi == Some(0) {
-            may &= !(1u128 << e.index());
-        }
-    }
-
-    let segments = opts.segments.max(1);
-    let seg_opts = cesc_par::SegmentOptions {
-        jobs: opts.jobs.max(1),
-        window: trace.len().div_ceil(segments).max(1),
-        obs: obs.clone(),
-    };
-    let exec_span = obs.span("execute");
-    let got = cesc_par::scan_segmented(compiled, may, &trace, &seg_opts);
-    drop(exec_span);
-
-    let mut tally = tally(opts);
-    tally.absorb(&got.report.matches);
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    Ok(format!(
-        "chart `{}` over {} sampled cycles: {} — {} occurrence(s) at ticks {}, \
-         scoreboard underflows {}\n\
-         segments: {} window(s) across {} worker(s): {} adopted, {} replayed, \
-         {} speculative tick(s)\n",
-        chart.name(),
-        got.report.ticks,
-        verdict,
-        tally.count(),
-        tally.render(),
-        got.report.underflows,
-        got.windows,
-        seg_opts.jobs,
-        got.adopted,
-        got.replayed,
-        got.speculative_steps,
-    ))
-}
 
 /// Result of a fleet-mode check: the rendered report plus the CI-gate
 /// flag (`true` when any `implies(...)` assertion recorded a
@@ -706,7 +598,7 @@ struct Slot {
 ///
 /// The dump is streamed in [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`]
 /// chunks broadcast to the shard workers, and match accounting is
-/// bounded ([`MatchLog`]) unless [`CheckOptions::all_matches`] asks
+/// bounded ([`cesc_par::MatchLog`]) unless [`CheckOptions::all_matches`] asks
 /// for every hit — memory stays constant in dump length and match
 /// count.
 ///
@@ -1244,7 +1136,7 @@ pub fn usage() -> &'static str {
      synth  <spec> [--chart NAME] [--format summary|dot|verilog|sva|testbench]\n\
             [--force] [--no-opt] [--counter-width N] [--all-charts --out-dir DIR]\n\
      check  <spec> (--chart NAME)... | --all-charts  --vcd FILE\n\
-            [--clock NAME] [--jobs N] [--segments N] [--json] [--all-matches]\n\
+            [--clock NAME] [--jobs N] [--json] [--all-matches]\n\
             [--cosim] [--no-opt]\n\
             [--stats] [--stats-json FILE] [--progress]\n\
      lint   <spec> [--chart NAME]... [--json] [--deny] [--allow RULE]...\n\
@@ -1267,10 +1159,6 @@ pub fn usage() -> &'static str {
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
      --jobs N      shard the monitor fleet across N worker threads\n\
-     --segments N  split the dump into N windows and run ONE basic chart's\n\
-                   monitor with trace-segment speculative parallelism across\n\
-                   --jobs threads (buffers the decoded trace; verdicts are\n\
-                   bit-identical to the streaming scan)\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\
@@ -1313,7 +1201,7 @@ pub fn usage() -> &'static str {
      fuzz runs a deterministic differential campaign (baseline engine vs\n\
      optimized engine vs sharded fleet vs RTL interpreter on generated\n\
      specs and traces) plus panic-freedom sweeps over the chart parser,\n\
-     expression parser and VCD readers. Any disagreement or panic is\n\
+     expression parser and VCD reader. Any disagreement or panic is\n\
      minimized and exits with status 2.\n\
      --cases N       differential case budget (default 300)\n\
      --seed N        master seed, decimal or 0x-hex (default 0xCE5CF022)\n\

@@ -1,7 +1,7 @@
 //! Steady-state allocation discipline, pinned by a counting global
-//! allocator: after a one-chunk warmup, (a) `VcdStream::next_chunk`,
-//! (b) `GlobalVcdStream::next_chunk`, (c) the bit-sliced
-//! `BatchExec::feed` hot loop and (d) the bit-sliced
+//! allocator: after warmup, (a) `GlobalVcdStream::next_chunk` on a
+//! one-clock and a two-clock plan, (b) the bit-sliced
+//! `BatchExec::feed` hot loop and (c) the bit-sliced
 //! `MonitorBank::feed_global` (the `cesc check` route) must perform
 //! **zero** heap allocations per chunk. This is the contract behind
 //! the streaming `cesc check` path: decode buffers, recycled
@@ -21,7 +21,7 @@ use cesc::expr::Valuation;
 use cesc::prelude::parse_document;
 use cesc::trace::{
     write_vcd, write_vcd_global, ClockDomain, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
-    Trace, VcdClockSpec, VcdStream, VcdWriteOptions,
+    Trace, VcdClockSpec, VcdWriteOptions,
 };
 
 /// Counts every `alloc`/`realloc` handed to the system allocator.
@@ -82,28 +82,16 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         })
         .collect();
 
-    // (a) single-clock VCD streaming: the parser reuses its line
-    // buffer and the caller's chunk buffer.
-    let text = write_vcd(
+    // (a) VCD streaming: the parser reuses its line buffer and the
+    // caller's chunk buffer, and `GlobalStep::ticks` vectors are
+    // recycled through the stream's spare pool across chunks — on a
+    // one-clock plan (what a single-clock check reads) and on two
+    // masked clocks.
+    let one_clock = write_vcd(
         &Trace::from_elements(elements.clone()),
         &doc.alphabet,
         &VcdWriteOptions::default(),
     );
-    let mut stream = VcdStream::from_reader(Cursor::new(&text), &doc.alphabet, "clk").unwrap();
-    let mut buf: Vec<Valuation> = Vec::with_capacity(CHUNK);
-    let mut decoded = stream.next_chunk(&mut buf, CHUNK).unwrap(); // warmup
-    let steady = allocs_during(|| loop {
-        let n = stream.next_chunk(&mut buf, CHUNK).unwrap();
-        if n == 0 {
-            break;
-        }
-        decoded += n;
-    });
-    assert_eq!(decoded, CHUNK * CHUNKS, "whole dump decoded");
-    assert_eq!(steady, 0, "VcdStream::next_chunk allocated in steady state");
-
-    // (b) multi-clock VCD streaming: `GlobalStep::ticks` vectors are
-    // recycled through the stream's spare pool across chunks.
     let mut clocks = ClockSet::new();
     let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
     let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
@@ -117,35 +105,47 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     )
     .unwrap();
     let owners = [Valuation::of([req]), Valuation::of([ack])];
-    let text = write_vcd_global(
+    let two_clocks = write_vcd_global(
         &run,
         &clocks,
         &doc.alphabet,
         &owners,
         &VcdWriteOptions::default(),
     );
-    let specs = [
-        VcdClockSpec::masked("clk1", owners[0]),
-        VcdClockSpec::masked("clk2", owners[1]),
+    let plans = [
+        (one_clock, vec![VcdClockSpec::new("clk")]),
+        (
+            two_clocks,
+            vec![
+                VcdClockSpec::masked("clk1", owners[0]),
+                VcdClockSpec::masked("clk2", owners[1]),
+            ],
+        ),
     ];
-    let mut stream =
-        GlobalVcdStream::from_reader(Cursor::new(&text), &doc.alphabet, &specs).unwrap();
-    let mut gbuf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
-    // warmup: two chunks, so the spare pool has absorbed one full
-    // recycle cycle (the pool vector itself grows on the first drain)
-    let mut decoded = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-    decoded += stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-    let steady = allocs_during(|| loop {
-        let n = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-        if n == 0 {
-            break;
-        }
-        decoded += n;
-    });
-    assert_eq!(decoded, CHUNK * CHUNKS, "whole dump decoded");
-    assert_eq!(steady, 0, "GlobalVcdStream::next_chunk allocated in steady state");
+    for (text, specs) in &plans {
+        let mut stream =
+            GlobalVcdStream::from_reader(Cursor::new(text), &doc.alphabet, specs).unwrap();
+        let mut gbuf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
+        // warmup: two chunks, so the spare pool has absorbed one full
+        // recycle cycle (the pool vector itself grows on the first drain)
+        let mut decoded = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
+        decoded += stream.next_chunk(&mut gbuf, CHUNK).unwrap();
+        let steady = allocs_during(|| loop {
+            let n = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
+            if n == 0 {
+                break;
+            }
+            decoded += n;
+        });
+        let clocks = specs.len();
+        assert_eq!(decoded, CHUNK * CHUNKS, "{clocks} clock(s): whole dump decoded");
+        assert_eq!(
+            steady, 0,
+            "{clocks} clock(s): GlobalVcdStream::next_chunk allocated in steady state"
+        );
+    }
 
-    // (c) the bit-sliced execution hot loop: transpose scratch and the
+    // (b) the bit-sliced execution hot loop: transpose scratch and the
     // word cache live in the executor; only hit recording may touch
     // the (pre-sized) hits vector.
     let monitor = synthesize(doc.chart("flow").unwrap(), &SynthOptions::default()).unwrap();
@@ -167,7 +167,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         "zero-alloc run still matches the step-wise verdict"
     );
 
-    // (d) the bit-sliced member dispatch behind `feed_global`, on a
+    // (c) the bit-sliced member dispatch behind `feed_global`, on a
     // sparse one-clock run (one handshake per 100 ticks, so words are
     // quiet and the sliced path stays selected); hits are drained per
     // chunk as the fleet's shard workers do

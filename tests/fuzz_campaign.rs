@@ -1,7 +1,7 @@
 //! Tier-1 fuzz gates: a bounded deterministic differential campaign
 //! (baseline engine ≡ optimized engine ≡ sharded fleet ≡ RTL
 //! interpreter on generated specs and traces), panic-freedom sweeps
-//! over the parsers and VCD readers, and the AXI4-Lite/APB/Wishbone
+//! over the parsers and VCD reader, and the AXI4-Lite/APB/Wishbone
 //! libraries end-to-end through `cesc check` and `check --cosim` on
 //! clean *and* fault-injected generated traffic.
 //!
