@@ -8,9 +8,11 @@
 //! every monitor from one `MonitorBank::feed` over raw-compiled
 //! tables; the fleet variants run the deployment configuration —
 //! `cesc check` hands the fleet the spec cache's
-//! [`CompileOptions::optimized`] (bit-sliced) artifacts, so this bench
-//! does too — streaming the same `BATCH_CHUNK`-sized chunks to 1, 2
-//! and 4 shard workers planned by the cost-model LPT planner.
+//! [`CompileOptions::optimized`] (bit-sliced) artifacts and feeds it
+//! the dump as a one-clock global run, so this bench does too —
+//! `scan_sharded_global` streams the same trace, as `BATCH_CHUNK`-step
+//! chunks on one period-1 clock, to 1, 2 and 4 shard workers planned
+//! by the cost-model LPT planner.
 //!
 //! Verdict equivalence between the serial and sharded paths is
 //! asserted inline here and property-tested in
@@ -24,9 +26,10 @@
 
 use cesc_bench::quick;
 use cesc_core::{synthesize, CompileOptions, MonitorBank, SynthOptions, BATCH_CHUNK};
-use cesc_par::{plan_shards, scan_sharded, Fleet, ParOptions};
+use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
+use cesc_trace::{ClockSet, GlobalRun};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -76,13 +79,18 @@ fn bench(c: &mut Criterion) {
     for m in &monitors {
         fleet.add_compiled(m.compiled_with(&CompileOptions::optimized()));
     }
+    // the charts' `clk` as a period-1 clock: step times are the tick
+    // indices the bank reports
+    let (clocks, clk) = ClockSet::single();
+    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).expect("one clock");
     for jobs in [1usize, 2, 4] {
         let plan = plan_shards(&fleet, jobs);
-        let report = scan_sharded(
+        let report = scan_sharded_global(
             &fleet,
             &plan,
+            &clocks,
             &ParOptions::default(),
-            trace.as_slice(),
+            run.as_slice(),
             BATCH_CHUNK,
         );
         for i in 0..monitors.len() {
@@ -116,11 +124,17 @@ fn bench(c: &mut Criterion) {
         let plan = plan_shards(&fleet, jobs);
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("fleet_jobs_{jobs}")),
-            &trace,
-            |b, t| {
+            &run,
+            |b, r| {
                 b.iter(|| {
-                    let report =
-                        scan_sharded(&fleet, &plan, &opts, black_box(t.as_slice()), BATCH_CHUNK);
+                    let report = scan_sharded_global(
+                        &fleet,
+                        &plan,
+                        &clocks,
+                        &opts,
+                        black_box(r.as_slice()),
+                        BATCH_CHUNK,
+                    );
                     report
                         .singles
                         .iter()
@@ -148,7 +162,8 @@ fn bench(c: &mut Criterion) {
     });
     let plan = plan_shards(&fleet, jobs);
     let fleet_s = cesc_bench::time_per_pass(5, || {
-        let report = scan_sharded(&fleet, &plan, &opts, black_box(trace.as_slice()), BATCH_CHUNK);
+        let report =
+            scan_sharded_global(&fleet, &plan, &clocks, &opts, black_box(run.as_slice()), BATCH_CHUNK);
         black_box(report.singles.len());
     });
     cesc_bench::emit_record(

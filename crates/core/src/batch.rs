@@ -127,33 +127,35 @@ impl GuardMask {
 /// size and memory footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Deduplicate identical postfix guard programs into one shared
-    /// program pool entry (guard CSE). Synthesized monitors repeat the
-    /// same slide-back guard from many states, so the op pool — and
-    /// with it [`CompiledMonitor::step_cost`]'s program surcharge —
-    /// shrinks accordingly.
-    pub dedupe_programs: bool,
-    /// Renumber scoreboard symbols (the `Chk_evt`/`Add_evt`/`Del_evt`
-    /// targets) into a dense slot space, so the count table is sized
-    /// by the symbols with scoreboard traffic instead of by the
-    /// highest symbol index in the alphabet. Guard masks, program
-    /// `Chk` ops, packed actions and the presence bitmap all move to
-    /// the dense space together; [`CompiledMonitor::touched_symbols`]
-    /// keeps reporting the *global* footprint.
-    pub narrow_slots: bool,
-    /// Narrow guard bitmasks to the observed alphabet: when a guard's
-    /// trace and scoreboard masks all fit in 64 bits (every document
-    /// with ≤ 64 symbols — all the protocol case studies), it is
-    /// evaluated with `u64` operations instead of four `u128`
-    /// tests — the measurable hot-path win of the pass pipeline on
-    /// monitors the automaton passes cannot shrink.
-    pub narrow_masks: bool,
+    /// Compact the flat tables, three layout passes that run
+    /// together:
+    ///
+    /// * **guard CSE** — identical postfix guard programs share one
+    ///   program pool entry. Synthesized monitors repeat the same
+    ///   slide-back guard from many states, so the op pool — and with
+    ///   it [`CompiledMonitor::step_cost`]'s program surcharge —
+    ///   shrinks accordingly;
+    /// * **dense scoreboard slots** — the `Chk_evt`/`Add_evt`/`Del_evt`
+    ///   targets are renumbered into a dense slot space, so the count
+    ///   table is sized by the symbols with scoreboard traffic instead
+    ///   of by the highest symbol index in the alphabet. Guard masks,
+    ///   program `Chk` ops, packed actions and the presence bitmap all
+    ///   move to the dense space together;
+    ///   [`CompiledMonitor::touched_symbols`] keeps reporting the
+    ///   *global* footprint;
+    /// * **64-bit guard masks** — when a guard's trace and scoreboard
+    ///   masks all fit in 64 bits (every document with ≤ 64 symbols —
+    ///   all the protocol case studies), it is evaluated with `u64`
+    ///   operations instead of four `u128` tests — the measurable
+    ///   hot-path win of the pass pipeline on monitors the automaton
+    ///   passes cannot shrink.
+    pub compact_tables: bool,
     /// Precompute the bit-slicing tables ([`crate::simd`]) so every
     /// feed ([`BatchExec::feed`], [`MonitorBank::feed`],
     /// [`MonitorBank::feed_global`]) can evaluate 64 ticks per machine
     /// word: chunks are transposed into per-symbol bit
-    /// columns, every [`CompileOptions::narrow_masks`] conjunction
-    /// guard becomes whole-word AND/AND-NOT ops, and quiescent
+    /// columns, every 64-bit ([`CompileOptions::compact_tables`])
+    /// conjunction guard becomes whole-word AND/AND-NOT ops, and quiescent
     /// stretches are skipped with one `popcount` per word. Verdicts
     /// are bit-identical to the scalar path (the `simd_equivalence`
     /// suite and a cesc-fuzz leg pin it); states with program or
@@ -167,9 +169,7 @@ impl CompileOptions {
     /// All passes on — what the `cesc-spec` pipeline compiles with.
     pub fn optimized() -> Self {
         CompileOptions {
-            dedupe_programs: true,
-            narrow_slots: true,
-            narrow_masks: true,
+            compact_tables: true,
             bit_slice: true,
         }
     }
@@ -177,9 +177,7 @@ impl CompileOptions {
     /// All passes off: the historical (and default) table layout.
     pub fn raw() -> Self {
         CompileOptions {
-            dedupe_programs: false,
-            narrow_slots: false,
-            narrow_masks: false,
+            compact_tables: false,
             bit_slice: false,
         }
     }
@@ -242,7 +240,7 @@ enum PackedAction {
 
 /// A [`GuardMask`] narrowed to the observed alphabet: all four masks
 /// fit in 64 bits, so the guard evaluates with half-width operations
-/// (see [`CompileOptions::narrow_masks`]). Bits of the valuation or
+/// (see [`CompileOptions::compact_tables`]). Bits of the valuation or
 /// scoreboard above 63 are unconstrained by construction — the masks
 /// never mention them — so truncating the inputs is exact.
 #[derive(Debug, Clone, Copy, Default)]
@@ -286,7 +284,7 @@ pub(crate) enum GuardKind {
     /// Bitmask conjunction over the full 128-bit symbol space.
     Mask(GuardMask),
     /// Bitmask conjunction narrowed to the observed alphabet
-    /// ([`CompileOptions::narrow_masks`]).
+    /// ([`CompileOptions::compact_tables`]).
     Mask64(GuardMask64),
     /// Postfix program: `(offset, len)` into the op pool.
     Program(u32, u32),
@@ -317,7 +315,7 @@ pub struct CompiledMonitor {
     actions: Vec<PackedAction>,
     initial: u32,
     final_state: u32,
-    /// Count-table size (see [`CompileOptions::narrow_slots`] for the
+    /// Count-table size (see [`CompileOptions::compact_tables`] for the
     /// two sizing regimes).
     slots: usize,
     /// Global-symbol mask backing the scoreboard slot space; slot `k`
@@ -326,7 +324,7 @@ pub struct CompiledMonitor {
     /// operands back to global symbols regardless of compile options.
     sb_mask: u128,
     /// Whether `Chk` operands and mask `chk_*` bits live in the dense
-    /// slot space ([`CompileOptions::narrow_slots`]).
+    /// slot space ([`CompileOptions::compact_tables`]).
     dense_slots: bool,
     /// Symbols this monitor reads from or writes to the scoreboard
     /// (`Chk_evt` targets plus `Add_evt`/`Del_evt` targets), always in
@@ -407,7 +405,7 @@ impl CompiledMonitor {
             None => own_sb,
         };
         let slot_of = |i: usize| -> u32 {
-            if opts.narrow_slots {
+            if opts.compact_tables {
                 (sb_mask & ((1u128 << i) - 1)).count_ones()
             } else {
                 i as u32
@@ -445,11 +443,11 @@ impl CompiledMonitor {
                 let mut mask = GuardMask::default();
                 match GuardMask::build(&t.guard, false, &mut mask) {
                     Some(()) => {
-                        if opts.narrow_slots {
+                        if opts.compact_tables {
                             mask.chk_pos = densify(mask.chk_pos, sb_mask);
                             mask.chk_neg = densify(mask.chk_neg, sb_mask);
                         }
-                        match mask.narrowed().filter(|_| opts.narrow_masks) {
+                        match mask.narrowed().filter(|_| opts.compact_tables) {
                             Some(narrow) => guards.push(GuardKind::Mask64(narrow)),
                             None => guards.push(GuardKind::Mask(mask)),
                         }
@@ -458,14 +456,14 @@ impl CompiledMonitor {
                     None => {
                         program_buf.clear();
                         compile_ops(&t.guard, &mut program_buf);
-                        if opts.narrow_slots {
+                        if opts.compact_tables {
                             for op in &mut program_buf {
                                 if let GuardOp::Chk(i) = op {
                                     *i = slot_of(*i as usize);
                                 }
                             }
                         }
-                        let (start, len) = if opts.dedupe_programs {
+                        let (start, len) = if opts.compact_tables {
                             match pool.get(&program_buf) {
                                 Some(&cached) => cached,
                                 None => {
@@ -509,7 +507,7 @@ impl CompiledMonitor {
         }
         state_off.push(targets.len() as u32);
 
-        let slots = if opts.narrow_slots {
+        let slots = if opts.compact_tables {
             sb_mask.count_ones() as usize
         } else if saw_symbol {
             max_symbol + 1
@@ -531,7 +529,7 @@ impl CompiledMonitor {
             final_state: monitor.final_state().index() as u32,
             slots,
             sb_mask,
-            dense_slots: opts.narrow_slots,
+            dense_slots: opts.compact_tables,
             touched,
             slice: None,
         };
@@ -572,7 +570,7 @@ impl CompiledMonitor {
     }
 
     /// Global symbol index of scoreboard slot `slot` (identity unless
-    /// the monitor was compiled with [`CompileOptions::narrow_slots`]).
+    /// the monitor was compiled with [`CompileOptions::compact_tables`]).
     pub(crate) fn slot_symbol(&self, slot: u32) -> u32 {
         if !self.dense_slots {
             return slot;
@@ -631,14 +629,14 @@ impl CompiledMonitor {
 
     /// Size of the count table a scoreboard for this monitor
     /// allocates: the dense scoreboard-symbol count under
-    /// [`CompileOptions::narrow_slots`], one slot per alphabet symbol
+    /// [`CompileOptions::compact_tables`], one slot per alphabet symbol
     /// up to the highest mentioned index otherwise.
     pub fn scoreboard_slots(&self) -> usize {
         self.slots
     }
 
     /// Total instructions in the postfix guard-program pool (shared
-    /// between transitions under [`CompileOptions::dedupe_programs`]).
+    /// between transitions under [`CompileOptions::compact_tables`]).
     pub fn program_op_count(&self) -> usize {
         self.ops.len()
     }

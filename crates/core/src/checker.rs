@@ -128,28 +128,29 @@ impl ImplicationChecker {
     /// Consumes one trace element; returns the verdict after the tick.
     pub fn step(&mut self, v: Valuation) -> Verdict {
         // 1. advance outstanding obligations (consequent started the
-        //    tick *after* the antecedent completed)
-        let mut still_open = Vec::new();
-        for (state, started) in std::mem::take(&mut self.obligations) {
-            match step_forward_only(&self.consequent, state, v) {
+        //    tick *after* the antecedent completed), in place so the
+        //    vector keeps its capacity across ticks
+        self.obligations.retain_mut(|(state, started)| {
+            match step_forward_only(&self.consequent, *state, v) {
+                ForwardStep::Advanced(next) if next == self.consequent.final_state() => {
+                    self.fulfilled += 1;
+                    false
+                }
                 ForwardStep::Advanced(next) => {
-                    if next == self.consequent.final_state() {
-                        self.fulfilled += 1;
-                    } else {
-                        still_open.push((next, started));
-                    }
+                    *state = next;
+                    true
                 }
                 ForwardStep::Stuck => {
                     self.violation_count += 1;
                     self.violations.push(Violation {
-                        antecedent_at: started,
+                        antecedent_at: *started,
                         failed_at: self.tick,
                         progress: state.index(),
                     });
+                    false
                 }
             }
-        }
-        self.obligations = still_open;
+        });
 
         // 2. advance the antecedent detector
         let out = step_detector(&self.antecedent, self.antecedent_state, v);

@@ -1,7 +1,7 @@
 //! Bit-sliced 64-tick batch execution.
 //!
 //! The flat batch engine ([`crate::BatchExec`]) dispatches once per
-//! tick even though [`crate::CompileOptions::narrow_masks`]
+//! tick even though [`crate::CompileOptions::compact_tables`]
 //! already reduced most guards
 //! to a handful of `u64` tests. This module evaluates **64 ticks per
 //! machine word**:

@@ -8,7 +8,10 @@
 //! 2. the **optimized engine** — the pass-pipeline monitor compiled
 //!    with the optimizing options, fed in arbitrary chunks;
 //! 3. the **sharded fleet** — `cesc-par`'s worker threads over an
-//!    arbitrary shard count and the same chunking;
+//!    arbitrary shard count and the same chunking, fed through
+//!    `feed_global` as `cesc check` feeds it: every chart or assert
+//!    clock is a period-1 domain that ticks on every step with that
+//!    step's trace element, so hit times are tick indices;
 //! 4. the **RTL interpreter** — the emitted Verilog evaluated
 //!    cycle-accurately against the engine by `cesc-rtl`.
 //!
@@ -19,9 +22,10 @@
 //! counterexample and fails the case like a verdict disagreement.
 //!
 //! A sixth leg covers the `cesc-obs` instrumentation itself: the
-//! baseline and optimized fleets each run under their own enabled
-//! registry, and the semantic counters they report (`engine.ticks`,
-//! `engine.matches`, `engine.underflows`) must be identical — a
+//! baseline and optimized fleets each run over the same lockstep
+//! global run under their own enabled registry, and the semantic
+//! counters they report (`engine.ticks`, `engine.matches`,
+//! `engine.underflows`) must be identical — a
 //! counter drifting from the verdicts the other legs agreed on is a
 //! bug in the metrics plumbing, and fails the case the same way.
 //!
@@ -51,10 +55,10 @@
 use cesc_core::{CompileOptions, CompiledMonitor, MonitorExec, ScanReport};
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
-use cesc_par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
+use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc_rtl::{cosim_scan, report_agrees};
 use cesc_spec::{SpecSet, TargetRef};
-use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
+use cesc_trace::{ClockDomain, ClockSet, GlobalRun, GlobalStep, Trace};
 
 /// Scans a compiled monitor over `trace` fed in `chunk`-sized pieces.
 fn scan_chunked(monitor: &CompiledMonitor, trace: &[Valuation], chunk: usize) -> ScanReport {
@@ -64,6 +68,30 @@ fn scan_chunked(monitor: &CompiledMonitor, trace: &[Valuation], chunk: usize) ->
         exec.feed(c, &mut hits);
     }
     exec.finish(hits)
+}
+
+/// `trace` on every clock in `names` at once: each distinct name is a
+/// period-1 domain that ticks on every step with that step's element,
+/// and step `k` sits at time `k`, so hit times equal tick indices.
+fn lockstep<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+    trace: &[Valuation],
+) -> (ClockSet, Vec<GlobalStep>) {
+    let mut clocks = ClockSet::new();
+    for name in names {
+        if clocks.lookup(name).is_none() {
+            clocks.add(ClockDomain::new(name, 1, 0));
+        }
+    }
+    let steps = trace
+        .iter()
+        .enumerate()
+        .map(|(k, &v)| GlobalStep {
+            time: k as u64,
+            ticks: clocks.iter().map(|(c, _)| (c, v)).collect(),
+        })
+        .collect();
+    (clocks, steps)
 }
 
 /// One single-clock differential case: a document, a stimulus trace
@@ -219,10 +247,12 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
     }
     let mut assert_names = Vec::new();
     let mut assert_idx = Vec::new();
+    let mut assert_clocks = Vec::new();
     for idx in 0..set.document().compositions.len() {
         if let Ok(a) = set.assert_spec(idx) {
             assert_names.push(a.name().to_owned());
             assert_idx.push(idx);
+            assert_clocks.push(a.clock());
             fleet.add_assert(cesc_par::AssertSpec::new(
                 a.name(),
                 a.clock(),
@@ -231,10 +261,22 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
             ));
         }
     }
+    let chart_clocks = baselines.iter().map(|&(idx, _)| {
+        set.chart_spec(idx).expect("compiled above").compiled().clock()
+    });
+    let (clocks, steps) = lockstep(chart_clocks.chain(assert_clocks), trace);
     if !fleet.is_empty() {
         let opts = ParOptions::default();
-        let sharded = scan_sharded(&fleet, &plan_shards(&fleet, input.jobs), &opts, trace, chunk);
-        let serial = scan_sharded(&fleet, &plan_shards(&fleet, 1), &opts, trace, chunk);
+        let sharded = scan_sharded_global(
+            &fleet,
+            &plan_shards(&fleet, input.jobs),
+            &clocks,
+            &opts,
+            &steps,
+            chunk,
+        );
+        let serial =
+            scan_sharded_global(&fleet, &plan_shards(&fleet, 1), &clocks, &opts, &steps, chunk);
         for (i, &(idx, ref base)) in baselines.iter().enumerate() {
             let name = set.target_name(TargetRef::Chart(idx)).to_owned();
             let got = sharded.singles[i].log.all().unwrap_or(&[]);
@@ -352,7 +394,7 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
     // under their own enabled registry; the semantic counters both
     // report must agree, so the instrumentation is held to the same
     // differential standard as the verdicts
-    if let Some(d) = obs_counter_equivalence(&set, &baselines, trace, chunk, input.jobs) {
+    if let Some(d) = obs_counter_equivalence(&set, &baselines, &clocks, &steps, chunk, input.jobs) {
         return Err(Box::new(d));
     }
     Ok(report)
@@ -360,11 +402,12 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
 
 /// Leg 6 body: compares the `engine.*` counters recorded by a serial
 /// baseline-fleet run against a sharded optimized-fleet run over the
-/// same stimulus.
+/// same lockstep run.
 fn obs_counter_equivalence(
     set: &SpecSet,
     baselines: &[(usize, ScanReport)],
-    trace: &[Valuation],
+    clocks: &ClockSet,
+    steps: &[GlobalStep],
     chunk: usize,
     jobs: usize,
 ) -> Option<Discrepancy> {
@@ -388,14 +431,15 @@ fn obs_counter_equivalence(
         obs: obs_opt.clone(),
         ..ParOptions::default()
     };
-    scan_sharded(
+    scan_sharded_global(
         &base_fleet,
         &plan_shards(&base_fleet, 1),
+        clocks,
         &base_opts,
-        trace,
-        trace.len().max(1),
+        steps,
+        steps.len(),
     );
-    scan_sharded(&opt_fleet, &plan_shards(&opt_fleet, jobs), &opt_opts, trace, chunk);
+    scan_sharded_global(&opt_fleet, &plan_shards(&opt_fleet, jobs), clocks, &opt_opts, steps, chunk);
     let base_report = obs_base.report("fuzz");
     let opt_report = obs_opt.report("fuzz");
     for key in [

@@ -32,8 +32,8 @@
 //! machinery — chunk copy, `Arc`, channel hop, worker thread — would
 //! be pure overhead (measured at ~15% on chunked streams). The feeder
 //! instead runs the one worker *inline on the caller thread*
-//! ([`FeedMode::Direct`]): `feed` borrows the chunk straight into the
-//! bank, no allocation, no thread, identical results.
+//! ([`FeedMode::Direct`]): `feed_global` borrows the chunk straight
+//! into the bank, no allocation, no thread, identical results.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -43,7 +43,6 @@ use cesc_core::{
     CompiledMonitor, CompiledMultiClock, ImplicationChecker, Monitor, MonitorBank,
     MultiClockMonitor, Verdict, Violation,
 };
-use cesc_expr::Valuation;
 use cesc_obs::{key, Counter, Histogram, Obs, ShardStats};
 use cesc_trace::{ClockId, ClockSet, GlobalStep};
 use crossbeam::channel;
@@ -64,8 +63,8 @@ pub struct AssertSpec {
 
 impl AssertSpec {
     /// Assembles an assertion item. `clock` names the domain whose
-    /// ticks the checker consumes when the fleet is fed globally (a
-    /// locally-fed fleet steps it on every valuation).
+    /// ticks the checker consumes; a clock absent from the run's
+    /// [`ClockSet`] leaves the checker idle.
     pub fn new(name: &str, clock: &str, antecedent: Monitor, consequent: Monitor) -> Self {
         AssertSpec {
             name: name.to_owned(),
@@ -162,13 +161,14 @@ impl Fleet {
     }
 }
 
+/// In-flight chunks buffered per shard channel. Bounds the producer's
+/// lead over the slowest shard, and with it the executor's peak chunk
+/// residency.
+const CHANNEL_DEPTH: usize = 8;
+
 /// Execution knobs for [`run_sharded`].
 #[derive(Debug, Clone)]
 pub struct ParOptions {
-    /// In-flight chunks buffered per shard channel. Bounds the
-    /// producer's lead over the slowest shard, and with it the
-    /// executor's peak chunk residency.
-    pub channel_depth: usize,
     /// Retain every hit time in the [`MatchLog`]s (exact but
     /// unbounded — what the equivalence suite and the `cesc-sim`
     /// harnesses want). `false` keeps the logs bounded to
@@ -189,7 +189,6 @@ pub struct ParOptions {
 impl Default for ParOptions {
     fn default() -> Self {
         ParOptions {
-            channel_depth: 8,
             keep_all_hits: true,
             edge: 5,
             obs: Obs::disabled(),
@@ -200,8 +199,8 @@ impl Default for ParOptions {
 /// Final state of one single-clock fleet member.
 #[derive(Debug, Clone)]
 pub struct SingleReport {
-    /// Detection times (tick indices under [`FleetFeeder::feed`],
-    /// global times under [`FleetFeeder::feed_global`]).
+    /// Global times of the steps at which the monitor detected its
+    /// scenario.
     pub log: MatchLog,
     /// Ticks the monitor consumed.
     pub ticks: u64,
@@ -279,19 +278,17 @@ impl FleetReport {
     }
 }
 
-/// One broadcast unit: a reference-counted decoded chunk. Cloning per
-/// shard copies the `Arc`, not the samples.
-#[derive(Debug, Clone)]
-enum Msg {
-    Local(Arc<Vec<Valuation>>),
-    Global(Arc<Vec<GlobalStep>>),
-}
-
 /// How chunks reach the shard worker(s) — see the module docs.
 enum FeedMode {
     /// Multi-shard: reference-counted chunks over one bounded channel
-    /// per shard.
-    Broadcast(Vec<channel::Sender<Msg>>),
+    /// per shard. Cloning a chunk per shard copies the `Arc`, not the
+    /// steps. The last shard to finish a chunk hands its buffer back
+    /// through `spent`, and the producer refills it in place, so the
+    /// steps' tick vectors are allocated once, not once per chunk.
+    Broadcast {
+        txs: Vec<channel::Sender<Arc<Vec<GlobalStep>>>>,
+        spent: channel::Receiver<Vec<GlobalStep>>,
+    },
     /// Single-shard fast path: the one worker runs inline on the
     /// caller thread — chunks are borrowed, never copied, and there is
     /// no channel hop. `wait_ns` of the recorded [`ShardStats`] stays
@@ -302,7 +299,7 @@ enum FeedMode {
 impl std::fmt::Debug for FeedMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FeedMode::Broadcast(txs) => write!(f, "Broadcast({} shard(s))", txs.len()),
+            FeedMode::Broadcast { txs, .. } => write!(f, "Broadcast({} shard(s))", txs.len()),
             FeedMode::Direct(_) => write!(f, "Direct"),
         }
     }
@@ -331,66 +328,45 @@ pub struct FleetFeeder {
 }
 
 impl FleetFeeder {
-    fn record_feed(&self, len: usize) {
-        self.steps.add(len as u64);
-        self.chunks.incr();
-        self.chunk_sizes.record(len as u64);
-    }
-
-    fn broadcast(&self, msg: Msg) {
-        let FeedMode::Broadcast(txs) = &self.mode else {
-            unreachable!("direct mode handled by the caller")
-        };
-        for tx in txs {
-            tx.send(msg.clone()).expect("shard worker alive");
-        }
-    }
-
-    /// Runs `consume` on the inline worker, timing it when observed.
-    fn direct(cell: &RefCell<DirectWorker>, len: usize, consume: impl FnOnce(&mut ShardWorker)) {
-        let dw = &mut *cell.borrow_mut();
-        match &mut dw.stats {
-            Some(stats) => {
-                let ran = Instant::now();
-                consume(&mut dw.worker);
-                stats.busy_ns += ran.elapsed().as_nanos() as u64;
-                stats.chunks += 1;
-                stats.steps += len as u64;
-            }
-            None => consume(&mut dw.worker),
-        }
-    }
-
-    /// Feeds one chunk of same-clock valuations; every single-clock
-    /// monitor sees each element as one tick (the sharded form of
-    /// [`MonitorBank::feed`]). Assertion checkers step on every
-    /// element; multi-clock members ignore locally-fed chunks.
-    pub fn feed(&self, chunk: &[Valuation]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.record_feed(chunk.len());
-        match &self.mode {
-            FeedMode::Direct(cell) => {
-                Self::direct(cell, chunk.len(), |w| w.consume_local(chunk));
-            }
-            FeedMode::Broadcast(_) => self.broadcast(Msg::Local(Arc::new(chunk.to_vec()))),
-        }
-    }
-
     /// Feeds one chunk of global steps (the sharded form of
-    /// [`MonitorBank::feed_global`]); requires the run to have been
-    /// started with a clock set.
+    /// [`MonitorBank::feed_global`]): every member sees the ticks of
+    /// its own clock domain.
     pub fn feed_global(&self, chunk: &[GlobalStep]) {
         if chunk.is_empty() {
             return;
         }
-        self.record_feed(chunk.len());
+        let len = chunk.len() as u64;
+        self.steps.add(len);
+        self.chunks.incr();
+        self.chunk_sizes.record(len);
         match &self.mode {
             FeedMode::Direct(cell) => {
-                Self::direct(cell, chunk.len(), |w| w.consume_global(chunk));
+                let dw = &mut *cell.borrow_mut();
+                match &mut dw.stats {
+                    Some(stats) => {
+                        let ran = Instant::now();
+                        dw.worker.consume(chunk);
+                        stats.busy_ns += ran.elapsed().as_nanos() as u64;
+                        stats.chunks += 1;
+                        stats.steps += len;
+                    }
+                    None => dw.worker.consume(chunk),
+                }
             }
-            FeedMode::Broadcast(_) => self.broadcast(Msg::Global(Arc::new(chunk.to_vec()))),
+            FeedMode::Broadcast { txs, spent } => {
+                let mut buf = spent.try_recv().unwrap_or_default();
+                buf.truncate(chunk.len());
+                for (dst, src) in buf.iter_mut().zip(chunk) {
+                    dst.time = src.time;
+                    dst.ticks.clone_from(&src.ticks);
+                }
+                let reused = buf.len();
+                buf.extend_from_slice(&chunk[reused..]);
+                let msg = Arc::new(buf);
+                for tx in txs {
+                    tx.send(Arc::clone(&msg)).expect("shard worker alive");
+                }
+            }
         }
     }
 }
@@ -406,7 +382,7 @@ struct ShardWorker {
     single_logs: Vec<MatchLog>,
     multi_logs: Vec<MatchLog>,
     asserts: Vec<AssertRunner>,
-    clocks: Option<ClockSet>,
+    clocks: ClockSet,
     /// Per-member execution timing (mirrors `bank.set_member_timing`
     /// for the assert runners). On only when the run is observed.
     timing: bool,
@@ -415,9 +391,10 @@ struct ShardWorker {
 struct AssertRunner {
     fleet_idx: usize,
     name: String,
-    clock: String,
-    /// Resolved against the run's clock set on first global chunk.
-    clock_id: Option<Option<ClockId>>,
+    /// The checker's domain in the run's clock set; `None` (a clock
+    /// absent from the set) means the checker sees no ticks, as
+    /// [`MonitorBank::feed_global`] treats single-clock members.
+    clock_id: Option<ClockId>,
     checker: ImplicationChecker,
     /// The earliest [`ASSERT_VIOLATION_KEEP`] violations, drained out
     /// of the checker chunk by chunk so its log stays empty.
@@ -449,7 +426,7 @@ struct ShardResult {
 }
 
 impl ShardWorker {
-    fn build(fleet: &Fleet, items: &[FleetItem], clocks: Option<&ClockSet>, opts: &ParOptions) -> Self {
+    fn build(fleet: &Fleet, items: &[FleetItem], clocks: &ClockSet, opts: &ParOptions) -> Self {
         let mut w = ShardWorker {
             bank: MonitorBank::new(),
             single_map: Vec::new(),
@@ -457,7 +434,7 @@ impl ShardWorker {
             single_logs: Vec::new(),
             multi_logs: Vec::new(),
             asserts: Vec::new(),
-            clocks: clocks.cloned(),
+            clocks: clocks.clone(),
             timing: opts.obs.is_enabled(),
         };
         w.bank.set_member_timing(w.timing);
@@ -478,8 +455,7 @@ impl ShardWorker {
                     w.asserts.push(AssertRunner {
                         fleet_idx: i,
                         name: spec.name.clone(),
-                        clock: spec.clock.clone(),
-                        clock_id: None,
+                        clock_id: clocks.lookup(&spec.clock),
                         checker: ImplicationChecker::new(
                             spec.antecedent.clone(),
                             spec.consequent.clone(),
@@ -494,43 +470,10 @@ impl ShardWorker {
         w
     }
 
-    fn consume(&mut self, msg: &Msg) {
-        match msg {
-            Msg::Local(chunk) => self.consume_local(chunk),
-            Msg::Global(chunk) => self.consume_global(chunk),
-        }
-    }
-
-    fn consume_local(&mut self, chunk: &[Valuation]) {
-        self.bank.feed(chunk);
+    fn consume(&mut self, chunk: &[GlobalStep]) {
+        self.bank.feed_global(&self.clocks, chunk);
         for a in &mut self.asserts {
-            let started = self.timing.then(Instant::now);
-            for &v in chunk {
-                a.checker.step(v);
-                a.ticks += 1;
-            }
-            a.drain_violations();
-            if let Some(t0) = started {
-                a.exec_ns += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        self.drain_logs();
-    }
-
-    fn consume_global(&mut self, chunk: &[GlobalStep]) {
-        let clocks = self
-            .clocks
-            .as_ref()
-            .expect("feed_global requires run_sharded to be given a ClockSet");
-        self.bank.feed_global(clocks, chunk);
-        for a in &mut self.asserts {
-            let id = *a
-                .clock_id
-                .get_or_insert_with(|| clocks.lookup(&a.clock));
-            // an assert whose clock is absent from the set sees
-            // no ticks — mirroring MonitorBank::feed_global's
-            // treatment of unresolvable single-clock members
-            let Some(id) = id else { continue };
+            let Some(id) = a.clock_id else { continue };
             let started = self.timing.then(Instant::now);
             for step in chunk {
                 if let Some(v) = step.tick_of(id) {
@@ -627,10 +570,10 @@ impl ShardWorker {
 /// owning its members' complete mutable state, fed by `drive` through
 /// a [`FleetFeeder`] over bounded channels.
 ///
-/// `clocks` is required when `drive` uses
-/// [`FleetFeeder::feed_global`]; locally-fed (single-clock) runs may
-/// pass `None`. Returns the merged [`FleetReport`] plus `drive`'s own
-/// result once every shard has drained.
+/// Every member samples the steps on its own clock, resolved by name
+/// in `clocks`; a member whose clock is absent sees no ticks, and
+/// `None` counts as an empty set. Returns the merged [`FleetReport`]
+/// plus `drive`'s own result once every shard has drained.
 ///
 /// # Examples
 ///
@@ -639,6 +582,7 @@ impl ShardWorker {
 /// use cesc_core::{synthesize, SynthOptions};
 /// use cesc_expr::Valuation;
 /// use cesc_par::{plan_shards, run_sharded, Fleet, ParOptions};
+/// use cesc_trace::{ClockSet, GlobalRun, Trace};
 ///
 /// let doc = parse_document(
 ///     "scesc a on clk { instances { M } events { x, y } tick { M: x } }\
@@ -651,9 +595,13 @@ impl ShardWorker {
 /// let plan = plan_shards(&fleet, 2);
 /// let x = doc.alphabet.lookup("x").unwrap();
 /// let y = doc.alphabet.lookup("y").unwrap();
+/// // one period-1 clock named `clk`: step times are tick indices
+/// let (clocks, clk) = ClockSet::single();
+/// let trace = Trace::from_elements([Valuation::of([x]), Valuation::of([y])]);
+/// let run = GlobalRun::interleave(&clocks, &[(clk, trace)]).unwrap();
 ///
-/// let (report, ()) = run_sharded(&fleet, &plan, None, &ParOptions::default(), |feeder| {
-///     feeder.feed(&[Valuation::of([x]), Valuation::of([y])]);
+/// let (report, ()) = run_sharded(&fleet, &plan, Some(&clocks), &ParOptions::default(), |feeder| {
+///     feeder.feed_global(run.as_slice());
 /// });
 /// assert_eq!(report.singles[0].log.all(), Some(&[0][..])); // `a` fires on x
 /// assert_eq!(report.singles[1].log.all(), Some(&[1][..])); // `b` fires on x→y
@@ -665,6 +613,8 @@ pub fn run_sharded<R>(
     opts: &ParOptions,
     drive: impl FnOnce(&FleetFeeder) -> R,
 ) -> (FleetReport, R) {
+    let empty = ClockSet::new();
+    let clocks = clocks.unwrap_or(&empty);
     let (report, driven) = if plan.shards().len() <= 1 {
         run_direct(fleet, plan, clocks, opts, drive)
     } else {
@@ -681,7 +631,7 @@ pub fn run_sharded<R>(
 fn run_direct<R>(
     fleet: &Fleet,
     plan: &ShardPlan,
-    clocks: Option<&ClockSet>,
+    clocks: &ClockSet,
     opts: &ParOptions,
     drive: impl FnOnce(&FleetFeeder) -> R,
 ) -> (FleetReport, R) {
@@ -715,18 +665,26 @@ fn run_direct<R>(
 fn run_broadcast<R>(
     fleet: &Fleet,
     plan: &ShardPlan,
-    clocks: Option<&ClockSet>,
+    clocks: &ClockSet,
     opts: &ParOptions,
     drive: impl FnOnce(&FleetFeeder) -> R,
 ) -> (FleetReport, R) {
-    let depth = plan_depth(opts);
     std::thread::scope(|scope| {
         let mut txs = Vec::with_capacity(plan.jobs());
         let mut workers = Vec::with_capacity(plan.jobs());
+        let (spent_tx, spent) = channel::unbounded::<Vec<GlobalStep>>();
         for (shard_idx, shard) in plan.shards().iter().enumerate() {
-            let (tx, rx) = channel::bounded::<Msg>(depth);
+            let (tx, rx) = channel::bounded::<Arc<Vec<GlobalStep>>>(CHANNEL_DEPTH);
             txs.push(tx);
+            let spent_tx = spent_tx.clone();
             workers.push(scope.spawn(move || {
+                // the last shard done with a chunk returns its buffer;
+                // after the feeder is gone nobody takes it back
+                let recycle = |chunk: Arc<Vec<GlobalStep>>| {
+                    if let Some(buf) = Arc::into_inner(chunk) {
+                        let _ = spent_tx.send(buf);
+                    }
+                };
                 let mut worker = ShardWorker::build(fleet, shard, clocks, opts);
                 if opts.obs.is_enabled() {
                     // observed run: account each worker's wall time as
@@ -739,29 +697,27 @@ fn run_broadcast<R>(
                     };
                     loop {
                         let waited = Instant::now();
-                        let Ok(msg) = rx.recv() else { break };
+                        let Ok(chunk) = rx.recv() else { break };
                         stats.wait_ns += waited.elapsed().as_nanos() as u64;
-                        let steps = match &msg {
-                            Msg::Local(chunk) => chunk.len(),
-                            Msg::Global(chunk) => chunk.len(),
-                        } as u64;
                         let ran = Instant::now();
-                        worker.consume(&msg);
+                        worker.consume(&chunk);
                         stats.busy_ns += ran.elapsed().as_nanos() as u64;
                         stats.chunks += 1;
-                        stats.steps += steps;
+                        stats.steps += chunk.len() as u64;
+                        recycle(chunk);
                     }
                     opts.obs.record_shard(stats);
                 } else {
-                    while let Ok(msg) = rx.recv() {
-                        worker.consume(&msg);
+                    while let Ok(chunk) = rx.recv() {
+                        worker.consume(&chunk);
+                        recycle(chunk);
                     }
                 }
                 worker.finish()
             }));
         }
         let feeder = FleetFeeder {
-            mode: FeedMode::Broadcast(txs),
+            mode: FeedMode::Broadcast { txs, spent },
             steps: opts.obs.counter(key::FLEET_STEPS),
             chunks: opts.obs.counter(key::FLEET_CHUNKS),
             chunk_sizes: opts.obs.histogram("chunk.steps"),
@@ -841,29 +797,6 @@ fn record_semantics(obs: &Obs, report: &FleetReport) {
     obs.counter(key::ENGINE_UNDERFLOWS).add(underflows);
     obs.counter(key::ENGINE_WORDS).add(report.engine_words);
     obs.counter(key::ENGINE_DENSE_WORDS).add(report.engine_dense_words);
-}
-
-fn plan_depth(opts: &ParOptions) -> usize {
-    opts.channel_depth.max(1)
-}
-
-/// One-call sharded scan of a resident single-clock trace, chunked at
-/// `chunk` elements — the parallel counterpart of
-/// [`MonitorBank::feed`] over one resident slice.
-pub fn scan_sharded(
-    fleet: &Fleet,
-    plan: &ShardPlan,
-    opts: &ParOptions,
-    trace: &[Valuation],
-    chunk: usize,
-) -> FleetReport {
-    let chunk = chunk.max(1);
-    run_sharded(fleet, plan, None, opts, |feeder| {
-        for c in trace.chunks(chunk) {
-            feeder.feed(c);
-        }
-    })
-    .0
 }
 
 /// One-call sharded scan of a resident global run, chunked at `chunk`

@@ -15,18 +15,20 @@
 //!   [`step_cost`](cesc_core::CompiledMonitor::step_cost), with
 //!   scoreboard-footprint affinity co-locating coupled monitors;
 //! * [`run_sharded`] — the executor: one worker per shard, decoded
-//!   `Step`/[`GlobalStep`](cesc_trace::GlobalStep) chunks broadcast as
-//!   reference-counted messages over bounded channels, zero
-//!   cross-shard locking on the hot path, per-shard results merged at
-//!   join into a [`FleetReport`];
+//!   [`GlobalStep`](cesc_trace::GlobalStep) chunks broadcast as
+//!   reference-counted messages over bounded channels, each member
+//!   sampling the ticks of its own clock, zero cross-shard locking on
+//!   the hot path, per-shard results merged at join into a
+//!   [`FleetReport`];
 //! * [`MatchLog`] — bounded match tallies, so a bulk-traffic run's
 //!   residency stays constant unless the caller asks for every hit.
 //!
 //! Verdicts are **bit-identical to the serial engine**: for every
 //! member, any shard count and any chunking produce exactly the
-//! hits/underflows of [`cesc_core::MonitorBank::feed`] /
-//! [`feed_global`](cesc_core::MonitorBank::feed_global) — pinned by
-//! the `batch_equivalence` property suite at the workspace root.
+//! hits/underflows of
+//! [`MonitorBank::feed_global`](cesc_core::MonitorBank::feed_global)
+//! — pinned by the `batch_equivalence` property suite at the
+//! workspace root.
 //!
 //! # Quickstart
 //!
@@ -34,7 +36,8 @@
 //! use cesc_chart::parse_document;
 //! use cesc_core::{synthesize, SynthOptions};
 //! use cesc_expr::Valuation;
-//! use cesc_par::{plan_shards, scan_sharded, Fleet, ParOptions};
+//! use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
+//! use cesc_trace::{ClockSet, GlobalRun, Trace};
 //!
 //! let doc = parse_document(
 //!     "scesc hs on clk { instances { M, S } events { req, ack } \
@@ -45,10 +48,15 @@
 //!
 //! let req = doc.alphabet.lookup("req").unwrap();
 //! let ack = doc.alphabet.lookup("ack").unwrap();
-//! let trace = vec![Valuation::of([req]), Valuation::of([ack])];
+//! // `hs` samples `clk`, here a period-1 clock: step times are tick
+//! // indices
+//! let (clocks, clk) = ClockSet::single();
+//! let trace = Trace::from_elements([Valuation::of([req]), Valuation::of([ack])]);
+//! let run = GlobalRun::interleave(&clocks, &[(clk, trace)]).unwrap();
 //!
 //! let plan = plan_shards(&fleet, 4);
-//! let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 1024);
+//! let report =
+//!     scan_sharded_global(&fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), 1024);
 //! assert_eq!(report.singles[hs].log.all(), Some(&[1][..]));
 //! ```
 
@@ -60,7 +68,7 @@ mod plan;
 mod tally;
 
 pub use fleet::{
-    run_sharded, scan_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder,
+    run_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder,
     FleetReport, MultiReport, ParOptions, SingleReport, ASSERT_VIOLATION_KEEP,
 };
 pub use plan::{plan_shards, FleetItem, ShardPlan};
@@ -97,41 +105,19 @@ mod tests {
         d.alphabet.lookup(n).unwrap()
     }
 
-    #[test]
-    fn sharded_local_feed_matches_serial_bank() {
-        let d = doc();
-        let hs = synthesize(d.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
-        let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
-        let trace: Vec<Valuation> = (0..500)
-            .map(|k| {
-                if k % 3 == 0 {
-                    Valuation::of([ev(&d, "req")])
-                } else {
-                    Valuation::of([ev(&d, "ack")])
-                }
-            })
-            .collect();
-
-        let mut bank = MonitorBank::new();
-        bank.add(&hs);
-        bank.add(&pulse);
-        bank.feed(&trace);
-
-        for jobs in [1, 2, 3, 5] {
-            let mut fleet = Fleet::new();
-            fleet.add(&hs);
-            fleet.add(&pulse);
-            let plan = plan_shards(&fleet, jobs);
-            let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 64);
-            assert_eq!(report.singles[0].log.all(), Some(bank.hits(0)), "jobs={jobs}");
-            assert_eq!(report.singles[1].log.all(), Some(bank.hits(1)), "jobs={jobs}");
-            assert_eq!(report.singles[0].ticks, 500);
-        }
+    /// `trace` on one period-1 clock named `clock`: step `k` sits at
+    /// time `k`, so hit times equal tick indices.
+    fn lockstep(clock: &str, trace: Vec<Valuation>) -> (ClockSet, GlobalRun) {
+        let mut clocks = ClockSet::new();
+        let c = clocks.add(ClockDomain::new(clock, 1, 0));
+        let run = GlobalRun::interleave(&clocks, &[(c, Trace::from_elements(trace))]).unwrap();
+        (clocks, run)
     }
 
     #[test]
     fn sharded_global_feed_matches_serial_bank() {
         let d = doc();
+        let hs = synthesize(d.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
         let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
         let mm = synthesize_multiclock(d.multiclock_spec("pair").unwrap(), &SynthOptions::default())
             .unwrap();
@@ -139,33 +125,46 @@ mod tests {
         let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
         let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
         let n = 200;
+        let on_clk1: Vec<Valuation> = (0..n)
+            .map(|k| Valuation::of([ev(&d, if k % 3 == 0 { "req" } else { "ack" })]))
+            .collect();
         let run = GlobalRun::interleave(
             &clocks,
             &[
-                (c1, Trace::from_elements(vec![Valuation::of([ev(&d, "req")]); n])),
+                (c1, Trace::from_elements(on_clk1)),
                 (c2, Trace::from_elements(vec![Valuation::of([ev(&d, "done")]); n])),
             ],
         )
         .unwrap();
 
         let mut bank = MonitorBank::new();
+        let bh = bank.add(&hs);
         let bs = bank.add(&pulse);
         let bm = bank.add_multiclock(&mm);
         bank.feed_global(&clocks, run.as_slice());
 
         for jobs in [1, 2, 4] {
             let mut fleet = Fleet::new();
+            let fh = fleet.add(&hs);
             let fs = fleet.add(&pulse);
             let fm = fleet.add_multiclock(&mm);
             let plan = plan_shards(&fleet, jobs);
-            let report = scan_sharded_global(
-                &fleet,
-                &plan,
-                &clocks,
-                &ParOptions::default(),
-                run.as_slice(),
-                33,
-            );
+            let (report, ()) =
+                run_sharded(&fleet, &plan, Some(&clocks), &ParOptions::default(), |feeder| {
+                    // uneven chunks, so recycled broadcast buffers
+                    // both shrink and grow
+                    let mut rest = run.as_slice();
+                    for len in [33, 5, 64, 1].into_iter().cycle() {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        let (head, tail) = rest.split_at(len.min(rest.len()));
+                        feeder.feed_global(head);
+                        rest = tail;
+                    }
+                });
+            assert_eq!(report.singles[fh].log.all(), Some(bank.hits(bh)), "jobs={jobs}");
+            assert_eq!(report.singles[fh].ticks, n as u64);
             assert_eq!(report.singles[fs].log.all(), Some(bank.hits(bs)), "jobs={jobs}");
             assert_eq!(
                 report.multis[fm].log.all(),
@@ -197,7 +196,9 @@ mod tests {
             let mut fleet = Fleet::new();
             let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante.clone(), cons.clone()));
             let plan = plan_shards(&fleet, 2);
-            let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 1);
+            let (clocks, run) = lockstep("clk", trace);
+            let report =
+                scan_sharded_global(&fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), 1);
             let a = &report.asserts[ai];
             assert_eq!(a.verdict, expect, "{a:?}");
             assert_eq!(a.name, "gate");
@@ -260,12 +261,13 @@ mod tests {
         let cons = synthesize(d.chart("b").unwrap(), &SynthOptions::default()).unwrap();
         let r = ev(&d, "r");
         let n = 10_000usize;
-        let trace = vec![Valuation::of([r]); n];
+        let (clocks, run) = lockstep("clk", vec![Valuation::of([r]); n]);
 
         let mut fleet = Fleet::new();
         let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante, cons));
         let plan = plan_shards(&fleet, 2);
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 128);
+        let report =
+            scan_sharded_global(&fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), 128);
         let a = &report.asserts[ai];
         assert_eq!(a.verdict, Verdict::Failed);
         // every tick after the first spawns-and-breaks one obligation
@@ -279,7 +281,7 @@ mod tests {
     fn bounded_logs_summarise_without_retaining() {
         let d = doc();
         let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
-        let trace = vec![Valuation::of([ev(&d, "req")]); 10_000];
+        let (clocks, run) = lockstep("clk1", vec![Valuation::of([ev(&d, "req")]); 10_000]);
         let mut fleet = Fleet::new();
         fleet.add(&pulse);
         let plan = plan_shards(&fleet, 2);
@@ -287,7 +289,7 @@ mod tests {
             keep_all_hits: false,
             ..Default::default()
         };
-        let report = scan_sharded(&fleet, &plan, &opts, &trace, 256);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 256);
         let log = &report.singles[0].log;
         assert_eq!(log.count(), 10_000);
         assert!(log.all().is_none());
@@ -307,13 +309,9 @@ mod tests {
         // traffic — requesting 8 jobs for 1 member plans 1 shard
         let plan = plan_shards(&fleet, 8);
         assert_eq!(plan.jobs(), 1);
-        let report = scan_sharded(
-            &fleet,
-            &plan,
-            &ParOptions::default(),
-            &[Valuation::of([ev(&d, "req")])],
-            16,
-        );
+        let (clocks, run) = lockstep("clk1", vec![Valuation::of([ev(&d, "req")])]);
+        let report =
+            scan_sharded_global(&fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), 16);
         assert_eq!(report.singles[0].log.count(), 1);
     }
 
@@ -324,7 +322,7 @@ mod tests {
         // ShardStats entry (wait_ns structurally zero: no queue)
         let d = doc();
         let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
-        let trace = vec![Valuation::of([ev(&d, "req")]); 500];
+        let (clocks, run) = lockstep("clk1", vec![Valuation::of([ev(&d, "req")]); 500]);
         let mut fleet = Fleet::new();
         fleet.add(&pulse);
         let plan = plan_shards(&fleet, 1);
@@ -334,7 +332,7 @@ mod tests {
             obs: obs.clone(),
             ..Default::default()
         };
-        let report = scan_sharded(&fleet, &plan, &opts, &trace, 64);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 64);
         assert_eq!(report.singles[0].log.count(), 500);
         let run = obs.report("check");
         assert_eq!(run.counter(cesc_obs::key::FLEET_STEPS), 500);

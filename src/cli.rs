@@ -687,7 +687,6 @@ pub fn check_fleet(
         keep_all_hits: opts.all_matches,
         edge: MATCH_EDGE,
         obs: obs.clone(),
-        ..Default::default()
     };
     let tick_counter = obs.counter(key::FLEET_TICKS);
     let mut ticks = 0u64;

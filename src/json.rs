@@ -1,35 +1,19 @@
-//! The one escaped JSON writer behind `cesc check --json`.
+//! The escaped JSON writer behind `cesc check --json`.
 //!
 //! `cesc` emits its machine-readable report by hand (no serde in the
 //! offline workspace), so every string that reaches the output — chart
 //! names in particular — must pass through exactly one escaping
-//! routine. This module is that routine plus the small composition
-//! helpers the report layout needs; `cli::render_json` assembles the
-//! document from these pieces and nothing else writes JSON.
+//! routine, [`cesc_obs::json::string`]. This module re-exports it
+//! next to the small composition helpers the report layout needs;
+//! `cli::render_json` assembles the document from these pieces and
+//! nothing else writes JSON.
 
 use cesc_par::MatchLog;
 
 /// Renders `s` as a JSON string literal: quotes, backslashes and every
-/// control character (`U+0000`–`U+001F`) escaped.
-pub(crate) fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// control character (`U+0000`–`U+001F`) escaped — the escaper the
+/// `cesc-obs/1` stats report uses too.
+pub(crate) use cesc_obs::json::string;
 
 /// Renders a `u64` array.
 pub(crate) fn times(ts: &[u64]) -> String {

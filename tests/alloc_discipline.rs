@@ -1,12 +1,14 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after warmup, (a) `GlobalVcdStream::next_chunk` on a
 //! one-clock and a two-clock plan, (b) the bit-sliced
-//! `BatchExec::feed` hot loop and (c) the bit-sliced
-//! `MonitorBank::feed_global` (the `cesc check` route) must perform
-//! **zero** heap allocations per chunk. This is the contract behind
+//! `BatchExec::feed` hot loop, (c) the bit-sliced
+//! `MonitorBank::feed_global` (the `cesc check` route) and (d) an
+//! `implies(...)` assert member of a sharded run fed through
+//! `FleetFeeder::feed_global` must perform **zero** heap allocations
+//! per chunk. This is the contract behind
 //! the streaming `cesc check` path: decode buffers, recycled
-//! `GlobalStep::ticks` vectors, projection buffers and the slice
-//! scratch are all reused, so throughput does not degrade into
+//! `GlobalStep::ticks` vectors, projection buffers, the slice
+//! scratch and the checker's obligation list are all reused, so throughput does not degrade into
 //! allocator traffic on 100k+-tick dumps.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
@@ -16,8 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cesc::core::{synthesize, CompileOptions, MonitorBank, SynthOptions};
+use cesc::core::{synthesize, CompileOptions, MonitorBank, SynthOptions, Verdict};
 use cesc::expr::Valuation;
+use cesc::par::{plan_shards, run_sharded, AssertSpec, Fleet, ParOptions};
 use cesc::prelude::parse_document;
 use cesc::trace::{
     write_vcd, write_vcd_global, ClockDomain, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
@@ -62,6 +65,8 @@ scesc flow on clk {
     tick { A: req }
     tick { B: ack }
 }
+scesc ante on clk { instances { A } events { req } tick { A: req } }
+scesc cons on clk { instances { B } events { ack } tick { B: ack } }
 "#;
 
 const CHUNK: usize = 256;
@@ -163,7 +168,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     let report = exec.finish(hits);
     assert_eq!(
         report,
-        monitor.scan(Trace::from_elements(elements)),
+        monitor.scan(Trace::from_elements(elements.clone())),
         "zero-alloc run still matches the step-wise verdict"
     );
 
@@ -213,5 +218,47 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         drained,
         CHUNK * CHUNKS / 100 + 1,
         "one detection per handshake"
+    );
+
+    // (d) the production assert path: a one-shard sharded run with an
+    // `implies(ante, cons)` member in summary mode, fed through
+    // `feed_global`, over a trace whose every `req` tick completes the
+    // antecedent and whose next `ack` tick fulfils the obligation —
+    // the checker advances its obligation list in place
+    let ante = synthesize(doc.chart("ante").unwrap(), &SynthOptions::default()).unwrap();
+    let cons = synthesize(doc.chart("cons").unwrap(), &SynthOptions::default()).unwrap();
+    let mut fleet = Fleet::new();
+    fleet.add_assert(AssertSpec::new("gate", "clk", ante, cons));
+    let plan = plan_shards(&fleet, 1);
+    let dense: Vec<GlobalStep> = elements
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| GlobalStep {
+            time: i as u64,
+            ticks: vec![(clk, v)],
+        })
+        .collect();
+    let opts = ParOptions {
+        keep_all_hits: false,
+        ..ParOptions::default()
+    };
+    let (report, steady) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
+        feeder.feed_global(&dense[..CHUNK]); // warmup
+        allocs_during(|| {
+            for chunk in dense[CHUNK..].chunks(CHUNK) {
+                feeder.feed_global(chunk);
+            }
+        })
+    });
+    assert_eq!(
+        steady, 0,
+        "implies(...) member behind FleetFeeder::feed_global allocated in steady state"
+    );
+    let gate = &report.asserts[0];
+    assert_eq!(gate.verdict, Verdict::Passed);
+    assert_eq!(
+        gate.fulfilled,
+        (CHUNK * CHUNKS / 2) as u64,
+        "every req tick spawns an obligation the next ack fulfils"
     );
 }

@@ -6,13 +6,15 @@
 //! `scan_batch` under arbitrary clock interleavings and chunkings, the
 //! VCD section pins `BufRead`-streamed parsing against whole-string
 //! parsing on the same bytes, and the `cesc-par` section pins the
-//! sharded fleet executor against the serial bank: for any shard
-//! count, chunk size and mixed single/multi-clock fleet, parallel
-//! results are bit-identical to `MonitorBank::feed` / `feed_global`.
+//! sharded fleet executor, fed through `feed_global` as `cesc check`
+//! feeds it, against the serial bank: for any shard count, chunk size
+//! and mixed single/multi-clock fleet, parallel results are
+//! bit-identical to `MonitorBank::feed` (on a one-clock run) /
+//! `feed_global`.
 
 use cesc::core::{synthesize, synthesize_multiclock, MonitorBank, OverlapPolicy, SynthOptions};
 use cesc::expr::{SymbolId, Valuation};
-use cesc::par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
+use cesc::par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use cesc::trace::{
     read_vcd, write_vcd, ClockDomain, ClockId, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
@@ -70,6 +72,15 @@ fn decode_trace(raw: &[u8]) -> Trace {
     raw.iter()
         .map(|&bits| Valuation::from_bits(bits as u128))
         .collect()
+}
+
+/// `trace` on the one period-1 clock `clk` every single-clock chart
+/// here samples: step `k` sits at time `k`, so hit times equal the
+/// tick indices `MonitorBank::feed` reports.
+fn one_clock(trace: &Trace) -> (ClockSet, GlobalRun) {
+    let (clocks, clk) = ClockSet::single();
+    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).unwrap();
+    (clocks, run)
 }
 
 /// A chart with a causality arrow, so the scoreboard (`Add`/`Del`/
@@ -360,9 +371,9 @@ proptest! {
     }
 
     /// The sharded fleet executor over any single-clock fleet, shard
-    /// count and chunk size is bit-identical to the serial
-    /// `MonitorBank::feed` — same hit ticks, tick counts and underflow
-    /// accounting per monitor.
+    /// count and chunk size, fed a one-clock global run, is
+    /// bit-identical to the serial `MonitorBank::feed` — same hit
+    /// ticks, tick counts and underflow accounting per monitor.
     #[test]
     fn sharded_fleet_equals_serial_bank(
         p1 in arb_pattern(),
@@ -394,7 +405,10 @@ proptest! {
 
         let plan = plan_shards(&fleet, jobs);
         prop_assert_eq!(plan.jobs(), jobs.min(monitors.len()));
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), trace.as_slice(), chunk);
+        let (clocks, run) = one_clock(&trace);
+        let report = scan_sharded_global(
+            &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
+        );
         for (i, serial) in bank.reports().iter().enumerate() {
             let sharded = &report.singles[i];
             prop_assert_eq!(
@@ -465,7 +479,8 @@ proptest! {
         fleet.add(&monitor);
         let plan = plan_shards(&fleet, jobs);
         let opts = ParOptions { keep_all_hits: false, ..Default::default() };
-        let report = scan_sharded(&fleet, &plan, &opts, trace.as_slice(), 7);
+        let (clocks, run) = one_clock(&trace);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 7);
         let log = &report.singles[0].log;
         prop_assert_eq!(log.count(), reference.matches.len() as u64);
         prop_assert!(log.all().is_none());

@@ -29,9 +29,10 @@ use cesc::core::{
 };
 use cesc::expr::{Expr, SymbolId, Valuation};
 use cesc::hdl::{lower_monitor, VerilogOptions};
-use cesc::par::{plan_shards, scan_sharded, Fleet, ParOptions};
+use cesc::par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{Alphabet, ScescBuilder, SpecOptions, SpecSet};
 use cesc::rtl::CoSim;
+use cesc::trace::{ClockSet, GlobalRun, Trace};
 use proptest::prelude::*;
 
 const SYMS: usize = 4;
@@ -341,7 +342,8 @@ proptest! {
     }
 
     /// The sharded fleet over post-opt artifacts (jobs 1–8, any chunk
-    /// size) is bit-identical to the serial pre-opt bank.
+    /// size), fed a one-clock global run, is bit-identical to the
+    /// serial pre-opt bank.
     #[test]
     fn optimized_fleet_matches_raw_serial_bank(
         p1 in arb_pattern(),
@@ -369,7 +371,14 @@ proptest! {
         bank.feed(trace.as_slice());
 
         let plan = plan_shards(&fleet, jobs);
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), trace.as_slice(), chunk);
+        // one period-1 clock named `clk`, the charts' clock: hit times
+        // equal the tick indices the bank reports
+        let (clocks, clk) = ClockSet::single();
+        let run = GlobalRun::interleave(&clocks, &[(clk, Trace::from_elements(trace.clone()))])
+            .unwrap();
+        let report = scan_sharded_global(
+            &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
+        );
         for (i, serial) in bank.reports().iter().enumerate() {
             let sharded = &report.singles[i];
             prop_assert_eq!(
