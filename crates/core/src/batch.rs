@@ -1092,8 +1092,10 @@ impl Monitor {
 /// once).
 ///
 /// [`MonitorBank::feed`] treats every monitor as synchronous to the
-/// feed; [`MonitorBank::feed_global`] takes global steps, projects
-/// each clock domain once and also drives multi-clock members. Each
+/// feed; [`MonitorBank::feed_global`] takes global steps of the clock
+/// set the bank is bound to ([`MonitorBank::bind_clocks`]), projects
+/// them onto every domain in one pass and also drives multi-clock
+/// members. Each
 /// monitor keeps its private scoreboard, exactly as independent
 /// [`Monitor::scan`] calls would.
 ///
@@ -1134,18 +1136,17 @@ pub struct MonitorBank {
         crate::multibatch::MultiClockBatchState,
     )>,
     pub(crate) multi_hits: Vec<Vec<u64>>,
-    /// Reused per-domain projection buffers for `feed_global`.
-    pub(crate) proj_vals: Vec<Valuation>,
-    pub(crate) proj_times: Vec<u64>,
-    /// The [`cesc_trace::ClockSet`] the members are currently bound to
-    /// (cleared when a member is added): name resolution runs once per
-    /// clock set, not once per chunk.
-    pub(crate) bound_clocks: Option<cesc_trace::ClockSet>,
-    /// Single-clock monitors grouped by resolved domain, so
-    /// `feed_global` projects each chunk once per *distinct* clock
-    /// (monitors whose clock is absent from the set appear in no group
-    /// and see no ticks).
-    pub(crate) clock_groups: Vec<(cesc_trace::ClockId, Vec<usize>)>,
+    /// The clock set `feed_global`'s steps belong to (empty until
+    /// [`MonitorBank::bind_clocks`]); members resolve their clock
+    /// against it once, when bound or added, never per chunk.
+    pub(crate) clocks: cesc_trace::ClockSet,
+    /// Single-clock monitors grouped by resolved domain, each group
+    /// with its reused projection buffers (monitors whose clock is
+    /// absent from the set appear in no group and see no ticks).
+    pub(crate) clock_groups: Vec<crate::multibatch::ClockGroup>,
+    /// Per domain of `clocks` (by [`cesc_trace::ClockId`] index): its
+    /// group in `clock_groups`, if any monitor samples it.
+    pub(crate) group_of: Vec<Option<u32>>,
     /// When set, [`MonitorBank::feed`] / `feed_global` accumulate
     /// per-member execution nanoseconds (one `Instant` pair per member
     /// per chunk — off by default so the hot path stays timer-free).
@@ -1176,7 +1177,7 @@ impl MonitorBank {
         self.monitors.push(compiled);
         self.hits.push(Vec::new());
         self.member_ns.push(0);
-        self.bound_clocks = None; // new member: feed_global must rebind
+        self.group_member(self.monitors.len() - 1);
         self.monitors.len() - 1
     }
 

@@ -309,7 +309,8 @@ impl crate::MonitorBank {
         self.multis.push((compiled, state));
         self.multi_hits.push(Vec::new());
         self.multi_member_ns.push(0);
-        self.bound_clocks = None; // new member: feed_global must rebind
+        let (cm, st) = self.multis.last_mut().expect("just pushed");
+        st.bind(cm, &self.clocks);
         self.multis.len() - 1
     }
 
@@ -333,60 +334,81 @@ impl crate::MonitorBank {
         self.multis[idx].1.underflows()
     }
 
-    /// Feeds a chunk of global steps to *every* member — the mixed
-    /// verification-plan entry point. Single-clock monitors see the
-    /// projection of their own domain (matched by clock name; a
-    /// monitor whose clock is absent from `clocks` sees no ticks),
-    /// run it through the same member dispatch as
-    /// [`crate::MonitorBank::feed`] (bit-sliced where compiled and
-    /// sparse enough) and record hits at **global times**; multi-clock
-    /// members run the batched shared-scoreboard engine.
+    /// Binds every member to the domains of `clocks`, the clock set of
+    /// the steps [`crate::MonitorBank::feed_global`] will be given: a
+    /// single-clock monitor samples the domain named after its clock
+    /// (none when the set lacks it, so it sees no ticks), and each
+    /// local of a multi-clock member binds the same way. Members added
+    /// later are bound to the same set. A bank starts bound to the
+    /// empty set.
+    pub fn bind_clocks(&mut self, clocks: &ClockSet) {
+        self.clocks = clocks.clone();
+        self.clock_groups.clear();
+        self.group_of.clear();
+        self.group_of.resize(clocks.len(), None);
+        for idx in 0..self.monitors.len() {
+            self.group_member(idx);
+        }
+        for (cm, st) in &mut self.multis {
+            st.bind(cm, clocks);
+        }
+    }
+
+    /// Adds single-clock monitor `idx` to the group of its bound
+    /// domain, if the bound clock set has one.
+    pub(crate) fn group_member(&mut self, idx: usize) {
+        let Some(clock) = self.clocks.lookup(self.monitors[idx].clock()) else {
+            return;
+        };
+        let group = *self.group_of[clock.index()].get_or_insert_with(|| {
+            self.clock_groups.push(ClockGroup::default());
+            (self.clock_groups.len() - 1) as u32
+        });
+        self.clock_groups[group as usize].members.push(idx);
+    }
+
+    /// Feeds a chunk of global steps, all of the bound clock set
+    /// ([`crate::MonitorBank::bind_clocks`]), to *every* member — the
+    /// mixed verification-plan entry point. One pass over the chunk
+    /// projects it onto every sampled domain; each single-clock monitor
+    /// then runs its domain's projection through the same member
+    /// dispatch as [`crate::MonitorBank::feed`] (bit-sliced where
+    /// compiled and sparse enough) and records hits at **global
+    /// times**. Multi-clock members run the batched shared-scoreboard
+    /// engine. A step lists each domain at most once, as every
+    /// [`GlobalStep`] producer does.
     ///
     /// Don't mix this with the tick-indexed [`crate::MonitorBank::feed`]
     /// on one bank: `feed` records local tick indices, `feed_global`
     /// global times, and the two would interleave in `hits()`.
-    pub fn feed_global(&mut self, clocks: &ClockSet, steps: &[GlobalStep]) {
-        // clock-name resolution runs once per clock set (and after
-        // member additions), not once per chunk
-        if self.bound_clocks.as_ref() != Some(clocks) {
-            self.clock_groups.clear();
-            for (idx, m) in self.monitors.iter().enumerate() {
-                let Some(c) = clocks.lookup(m.clock()) else {
-                    continue;
-                };
-                match self.clock_groups.iter_mut().find(|(gc, _)| *gc == c) {
-                    Some((_, members)) => members.push(idx),
-                    None => self.clock_groups.push((c, vec![idx])),
-                }
-            }
-            for (cm, st) in &mut self.multis {
-                st.bind(cm, clocks);
-            }
-            self.bound_clocks = Some(clocks.clone());
+    pub fn feed_global(&mut self, steps: &[GlobalStep]) {
+        // the groups are moved out and back so the dispatch can borrow
+        // the bank
+        let mut groups = std::mem::take(&mut self.clock_groups);
+        for g in &mut groups {
+            g.vals.clear();
+            g.times.clear();
+            // a domain ticks at most once per step: sized once, the
+            // buffers never regrow (interleaved regrowth of several
+            // groups' buffers fragments the heap)
+            g.vals.reserve(steps.len());
+            g.times.reserve(steps.len());
         }
-        // one projection per distinct domain, then every monitor of
-        // that domain runs it through the member dispatch (tables
-        // staying hot); the buffers are moved out and back so the
-        // dispatch can borrow the bank
-        let groups = std::mem::take(&mut self.clock_groups);
-        let mut vals = std::mem::take(&mut self.proj_vals);
-        let mut times = std::mem::take(&mut self.proj_times);
-        for (clock, members) in &groups {
-            vals.clear();
-            times.clear();
-            for step in steps {
-                if let Some(v) = step.tick_of(*clock) {
-                    vals.push(v);
-                    times.push(step.time);
+        for step in steps {
+            for &(clock, v) in &step.ticks {
+                if let Some(&Some(g)) = self.group_of.get(clock.index()) {
+                    let g = &mut groups[g as usize];
+                    g.vals.push(v);
+                    g.times.push(step.time);
                 }
             }
-            for &idx in members {
-                self.run_member(idx, &vals, |off| times[off]);
+        }
+        for g in &groups {
+            for &idx in &g.members {
+                self.run_member(idx, &g.vals, |off| g.times[off]);
             }
         }
         self.clock_groups = groups;
-        self.proj_vals = vals;
-        self.proj_times = times;
         let timing = self.timing;
         for (idx, ((cm, st), hits)) in self
             .multis
@@ -401,6 +423,15 @@ impl crate::MonitorBank {
             }
         }
     }
+}
+
+/// The single-clock monitors of a [`crate::MonitorBank`] sampling one
+/// domain, with that domain's projection of the current chunk.
+#[derive(Debug, Default)]
+pub(crate) struct ClockGroup {
+    members: Vec<usize>,
+    vals: Vec<cesc_expr::Valuation>,
+    times: Vec<u64>,
 }
 
 impl MultiClockMonitor {

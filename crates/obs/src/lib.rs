@@ -15,7 +15,8 @@
 //!   measurable when nobody asked for stats;
 //! * **span timing** for the pipeline stages (`parse` → `resolve` →
 //!   `compile` → `optimize` → `prove` → `plan` →
-//!   `execute`/`cosim`/`fuzz.*`),
+//!   `execute`/`cosim`/`fuzz.*`; `ingest`, the VCD reading time
+//!   inside `execute`),
 //!   recorded manually ([`Obs::time`], [`Obs::span`]) because the
 //!   stages are few and the registry should not dictate control flow;
 //! * a **[`RunReport`]** snapshot rendered as human text (`--stats`)
@@ -77,6 +78,15 @@ pub mod key {
     pub const FLEET_CHUNKS: &str = "fleet.chunks";
     /// Per-clock ticks carried by the fed global steps.
     pub const FLEET_TICKS: &str = "fleet.ticks";
+    /// Dump bytes the VCD reader consumed, header included.
+    pub const TRACE_BYTES: &str = "trace.bytes";
+    /// Value-change lines the VCD reader read (scalar, vector, real).
+    pub const TRACE_VALUE_CHANGES: &str = "trace.value_changes";
+    /// Value changes dropped unread because no sampled clock or chart
+    /// symbol watches their identifier code.
+    pub const TRACE_SKIPPED_CHANGES: &str = "trace.skipped_changes";
+    /// Clock-edge samples the VCD reader produced (one per tick).
+    pub const TRACE_SAMPLES: &str = "trace.samples";
     /// Cycles driven through the RTL co-simulator.
     pub const COSIM_TICKS: &str = "cosim.ticks";
     /// Matches the RTL co-simulator agreed on.

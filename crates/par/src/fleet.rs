@@ -382,7 +382,6 @@ struct ShardWorker {
     single_logs: Vec<MatchLog>,
     multi_logs: Vec<MatchLog>,
     asserts: Vec<AssertRunner>,
-    clocks: ClockSet,
     /// Per-member execution timing (mirrors `bank.set_member_timing`
     /// for the assert runners). On only when the run is observed.
     timing: bool,
@@ -434,10 +433,11 @@ impl ShardWorker {
             single_logs: Vec::new(),
             multi_logs: Vec::new(),
             asserts: Vec::new(),
-            clocks: clocks.clone(),
             timing: opts.obs.is_enabled(),
         };
         w.bank.set_member_timing(w.timing);
+        // every member resolves its clock once, here, as the asserts do
+        w.bank.bind_clocks(clocks);
         for item in items {
             match *item {
                 FleetItem::Single(i) => {
@@ -471,7 +471,7 @@ impl ShardWorker {
     }
 
     fn consume(&mut self, chunk: &[GlobalStep]) {
-        self.bank.feed_global(&self.clocks, chunk);
+        self.bank.feed_global(chunk);
         for a in &mut self.asserts {
             let Some(id) = a.clock_id else { continue };
             let started = self.timing.then(Instant::now);

@@ -141,7 +141,8 @@ mod tests {
         let bh = bank.add(&hs);
         let bs = bank.add(&pulse);
         let bm = bank.add_multiclock(&mm);
-        bank.feed_global(&clocks, run.as_slice());
+        bank.bind_clocks(&clocks);
+        bank.feed_global(run.as_slice());
 
         for jobs in [1, 2, 4] {
             let mut fleet = Fleet::new();

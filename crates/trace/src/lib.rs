@@ -49,7 +49,7 @@ pub use global::{GlobalRun, GlobalStep, InterleaveError};
 pub use trace::Trace;
 pub use vcd::{
     read_vcd, write_vcd, write_vcd_global, write_vcd_global_to, GlobalVcdStream, VcdClockSpec,
-    VcdReadError, VcdWriteOptions,
+    VcdReadError, VcdStats, VcdWriteOptions,
 };
 
 // Chunk hand-off contract: the decoupled harnesses in `cesc-sim` and

@@ -8,14 +8,17 @@
 //! check waveforms from any HDL simulator.
 //!
 //! Reading is *streaming*: [`GlobalVcdStream`] samples any number of
-//! clocks and yields [`GlobalStep`] chunks pulled line by line from
-//! any [`io::BufRead`], so a multi-GB dump is checked in constant
-//! memory — neither the VCD text nor the decoded trace is ever
-//! resident in full. A single-clock read is a one-clock plan through
-//! the same reader; [`read_vcd`] drains one into a [`Trace`]. The
-//! `&str` constructor is a thin wrapper over the byte-slice reader.
+//! clocks and yields [`GlobalStep`] chunks decoded from any
+//! [`io::BufRead`], so a multi-GB dump is checked in constant memory —
+//! neither the VCD text nor the decoded trace is ever resident in
+//! full. The text header is read line by line; the body is scanned as
+//! bytes in place in the reader's buffer (no per-line `String`, no
+//! UTF-8 validation), with identifier codes resolved through a direct
+//! table. `docs/VCD.md` is the normative statement of the accepted
+//! subset. A single-clock read is a one-clock plan through the same
+//! reader; [`read_vcd`] drains one into a [`Trace`]. The `&str`
+//! constructor is a thin wrapper over the byte-slice reader.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
@@ -252,7 +255,7 @@ pub enum VcdReadError {
         /// The clock name that was looked for.
         name: String,
     },
-    /// The underlying reader failed (I/O error or non-UTF-8 input).
+    /// The underlying reader failed.
     Io {
         /// The I/O error's message.
         message: String,
@@ -275,94 +278,211 @@ impl std::fmt::Display for VcdReadError {
 
 impl std::error::Error for VcdReadError {}
 
-/// Reads one line (without trailing newline handling — callers trim)
-/// into `buf`, bumping the 1-based line counter. `Ok(false)` is EOF.
-fn read_line<R: BufRead>(
-    reader: &mut R,
-    buf: &mut String,
-    lineno: &mut usize,
-) -> Result<bool, VcdReadError> {
-    buf.clear();
-    match reader.read_line(buf) {
-        Ok(0) => Ok(false),
-        Ok(_) => {
-            *lineno += 1;
-            Ok(true)
+#[cold]
+fn malformed(line: usize, message: String) -> VcdReadError {
+    VcdReadError::Malformed { line, message }
+}
+
+fn io_error(e: &io::Error) -> VcdReadError {
+    VcdReadError::Io {
+        message: e.to_string(),
+    }
+}
+
+/// The separators of VCD text: ASCII space, tab, line feed, vertical
+/// tab, form feed and carriage return.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
+}
+
+/// `s` without leading and trailing separators.
+fn trim(mut s: &[u8]) -> &[u8] {
+    while let [first, rest @ ..] = s {
+        if !is_space(*first) {
+            break;
         }
-        Err(e) => Err(VcdReadError::Io {
-            message: e.to_string(),
+        s = rest;
+    }
+    while let [rest @ .., last] = s {
+        if !is_space(*last) {
+            break;
+        }
+        s = rest;
+    }
+    s
+}
+
+/// The whitespace-separated tokens of `line`.
+fn tokens(line: &[u8]) -> impl Iterator<Item = &[u8]> {
+    line.split(|&b| is_space(b)).filter(|t| !t.is_empty())
+}
+
+/// `s` for an error message (its bytes need not be UTF-8).
+fn shown(s: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(s)
+}
+
+/// A byte for an error message: itself if printable ASCII, else hex.
+fn shown_byte(b: u8) -> String {
+    if b.is_ascii_graphic() {
+        (b as char).to_string()
+    } else {
+        format!("\\x{b:02x}")
+    }
+}
+
+/// Eight copies of byte `b`, one per lane of a `u64`.
+const fn lanes(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// The value of 1 to 8 ASCII digits, or `None` if any byte is not a
+/// digit. The digits are packed into one word and combined pairwise,
+/// so the cost does not grow digit by digit.
+#[inline]
+fn digits8(s: &[u8]) -> Option<u64> {
+    let mut word = [b'0'; 8];
+    word[8 - s.len()..].copy_from_slice(s);
+    let x = u64::from_le_bytes(word);
+    // every lane in `0`..=`9`: high nibble 3, and still 3 after adding 6
+    if x & lanes(0xF0) != lanes(0x30) || (x + lanes(0x06)) & lanes(0xF0) != lanes(0x30) {
+        return None;
+    }
+    let x = x - lanes(b'0');
+    let x = (x * 10 + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let x = (x * 100 + (x >> 16)) & 0x0000_FFFF_0000_FFFF;
+    Some((x * 10_000 + (x >> 32)) & 0xFFFF_FFFF)
+}
+
+/// Parses the text after `#` as a timestamp: decimal digits with an
+/// optional leading `+`, at most `u64::MAX`.
+fn parse_timestamp(rest: &[u8], lineno: usize) -> Result<u64, VcdReadError> {
+    let digits = rest.strip_prefix(b"+").unwrap_or(rest);
+    let t = match digits.len() {
+        1..=8 => digits8(digits),
+        9..=16 => {
+            let (hi, lo) = digits.split_at(digits.len() - 8);
+            digits8(hi).zip(digits8(lo)).map(|(hi, lo)| hi * 100_000_000 + lo)
+        }
+        0 => None,
+        _ => digits.iter().try_fold(0u64, |t, &b| {
+            let d = b.wrapping_sub(b'0');
+            if d < 10 {
+                t.checked_mul(10)?.checked_add(u64::from(d))
+            } else {
+                None
+            }
         }),
+    };
+    t.ok_or_else(|| malformed(lineno, format!("bad timestamp `#{}`", shown(rest))))
+}
+
+/// Identifier codes are strings over the 94 printable ASCII bytes
+/// `!`..`~`.
+const CODE_RADIX: usize = 94;
+
+/// Slots of the dense code table: every 1-byte code, then every 2-byte
+/// code.
+const DENSE_SLOTS: usize = CODE_RADIX + CODE_RADIX * CODE_RADIX;
+
+/// The dense slot of a 1- or 2-byte code: its base-94 value (first byte
+/// least significant, as [`id_code`] writes them), past the 94 1-byte
+/// codes for a 2-byte one. `None` for any other length or a byte
+/// outside `!`..`~`.
+fn dense_slot(code: &[u8]) -> Option<usize> {
+    let digit = |b: u8| (b'!'..=b'~').contains(&b).then(|| usize::from(b - b'!'));
+    match *code {
+        [a] => digit(a),
+        [a, b] => Some(CODE_RADIX + digit(a)? + CODE_RADIX * digit(b)?),
+        _ => None,
     }
 }
 
-/// Parses the text after `#` as a timestamp.
-fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
-    rest.trim()
-        .parse::<u64>()
-        .map_err(|_| VcdReadError::Malformed {
-            line: lineno,
-            message: format!("bad timestamp `#{}`", rest.trim()),
-        })
+/// The level of a vector change's bits: true iff any bit is `1`
+/// (`x`/`z` bits read as "not 1").
+fn vector_value(bits: &[u8], lineno: usize) -> Result<bool, VcdReadError> {
+    let valid = |b: &&u8| matches!(b, b'0' | b'1' | b'x' | b'X' | b'z' | b'Z');
+    match bits.iter().find(|b| !valid(b)) {
+        Some(&bad) => Err(malformed(
+            lineno,
+            format!("invalid bit `{}` in vector change", shown_byte(bad)),
+        )),
+        None => Ok(bits.contains(&b'1')),
+    }
 }
 
-/// One classified line of the VCD value-change section.
-#[derive(Clone, Copy)]
-enum BodyLine<'a> {
-    /// Blank line, `$...` directive or real-valued change — no effect
-    /// on sampling.
-    Skip,
-    /// A `$comment` whose `$end` is on a later line: every line up to
-    /// and including that `$end` is comment text.
-    CommentOpen,
-    /// `#t` timestamp marker.
-    Time(u64),
-    /// Scalar or vector value change.
-    Change(bool, &'a str),
+/// What a watched identifier code drives.
+#[derive(Debug, Clone, Copy)]
+enum Watch {
+    /// An alphabet symbol.
+    Symbol(SymbolId),
+    /// The requested clocks `clock_lists[start..end]` (several when two
+    /// requested clocks share one VCD signal).
+    Clocks { start: u32, end: u32 },
 }
 
-fn classify_body_line(line: &str, lineno: usize) -> Result<BodyLine<'_>, VcdReadError> {
-    if line.is_empty() || line.starts_with('$') {
-        let mut toks = line.split_whitespace();
-        if toks.next() == Some("$comment") && !toks.any(|t| t == "$end") {
-            return Ok(BodyLine::CommentOpen);
+/// Identifier code → [`Watch`], with no hashing: a direct table over
+/// every 1–2-byte code, and a sorted list for the rare longer (or
+/// non-printable) watched codes. An unwatched code resolves to `None`.
+#[derive(Debug)]
+struct CodeTable {
+    /// Per dense slot: `0` when unwatched, else `1 +` its `watches`
+    /// index.
+    dense: Vec<u32>,
+    /// Every other watched code, sorted by its bytes.
+    long: Vec<(Box<[u8]>, u32)>,
+    watches: Vec<Watch>,
+    clock_lists: Vec<u32>,
+}
+
+impl CodeTable {
+    fn new() -> Self {
+        CodeTable {
+            dense: vec![0; DENSE_SLOTS],
+            long: Vec::new(),
+            watches: Vec::new(),
+            clock_lists: Vec::new(),
         }
-        return Ok(BodyLine::Skip); // directives ($dumpvars bodies are value changes)
     }
-    if line.starts_with(['r', 'R']) {
-        // `r<real> <code>`: the header rejects reals the spec watches,
-        // so every real change belongs to an unwatched signal
-        return Ok(BodyLine::Skip);
+
+    /// Points `code` at `watch`, replacing what it drove before.
+    fn insert(&mut self, code: &[u8], watch: Watch) {
+        self.watches.push(watch);
+        let entry = self.watches.len() as u32;
+        match dense_slot(code) {
+            Some(slot) => self.dense[slot] = entry,
+            None => match self.long.binary_search_by(|(k, _)| (**k).cmp(code)) {
+                Ok(i) => self.long[i].1 = entry,
+                Err(i) => self.long.insert(i, (code.into(), entry)),
+            },
+        }
     }
-    if let Some(rest) = line.strip_prefix('#') {
-        return parse_timestamp(rest, lineno).map(BodyLine::Time);
+
+    /// What `code` drives, or `None` when it is unwatched. A non-ASCII
+    /// byte in the code is an error naming `lineno`.
+    #[inline]
+    fn get(&self, code: &[u8], lineno: usize) -> Result<Option<Watch>, VcdReadError> {
+        let entry = match dense_slot(code) {
+            Some(slot) => self.dense[slot],
+            None if !code.is_ascii() => return Err(non_ascii(code, lineno, "identifier code")),
+            None if self.long.is_empty() => 0,
+            None => self
+                .long
+                .binary_search_by(|(k, _)| (**k).cmp(code))
+                .map_or(0, |i| self.long[i].1),
+        };
+        Ok(entry.checked_sub(1).map(|i| self.watches[i as usize]))
     }
-    parse_change(line, lineno).map(|(value, code)| BodyLine::Change(value, code))
 }
 
-/// Applies a parsed timestamp: `Ok(true)` means time advanced (pending
-/// samples must be flushed), `Ok(false)` means the same instant
-/// continues; a decreasing timestamp is malformed input.
-fn advance_time(cur_time: &mut u64, t: u64, lineno: usize) -> Result<bool, VcdReadError> {
-    if t < *cur_time {
-        return Err(VcdReadError::Malformed {
-            line: lineno,
-            message: format!("timestamp #{t} goes backwards (after #{cur_time})"),
-        });
-    }
-    let advanced = t > *cur_time;
-    *cur_time = t;
-    Ok(advanced)
+#[cold]
+fn non_ascii(text: &[u8], lineno: usize, what: &str) -> VcdReadError {
+    malformed(lineno, format!("non-ASCII byte in {what} `{}`", shown(text)))
 }
 
-/// Parsed `$var` section: identifier codes of the requested clocks and
-/// of every alphabet symbol present in the dump.
-struct VcdHeader {
-    code_to_symbol: HashMap<String, SymbolId>,
-    /// Per requested clock (argument order): its identifier code.
-    clock_codes: Vec<Option<String>>,
-}
-
-/// Reads `$var` declarations up to `$enddefinitions`.
+/// Reads `$var` declarations up to `$enddefinitions`, one line at a
+/// time into `line`, and returns the code table of the requested
+/// clocks and of every alphabet symbol present in the dump.
 ///
 /// A declared name matches a clock or symbol either exactly or with a
 /// vector range stripped — both `data[7:0]` and the separate-token
@@ -370,62 +490,87 @@ struct VcdHeader {
 /// real-valued variable (`real`, `realtime`, `shortreal`) that matches
 /// a clock or symbol is an error naming the signal: a real has no
 /// logic level to sample. Unmatched reals are accepted and ignored.
+/// When one code is declared for both a clock and a symbol, the clock
+/// wins; a clock takes the first code declared under its name.
 fn parse_header<R: BufRead>(
     reader: &mut R,
-    buf: &mut String,
+    line: &mut Vec<u8>,
+    stats: &mut VcdStats,
     lineno: &mut usize,
     alphabet: &Alphabet,
-    clock_names: &[&str],
-) -> Result<VcdHeader, VcdReadError> {
-    let mut header = VcdHeader {
-        code_to_symbol: HashMap::new(),
-        clock_codes: vec![None; clock_names.len()],
-    };
-    while read_line(reader, buf, lineno)? {
-        let toks: Vec<&str> = buf.split_whitespace().collect();
-        if toks.first() == Some(&"$var") {
-            // $var var_type size code reference [range] $end
-            if toks.len() < 5 || toks[3] == "$end" || toks[4] == "$end" {
-                return Err(VcdReadError::Malformed {
-                    line: *lineno,
-                    message: "short $var declaration".to_owned(),
-                });
+    clocks: &[VcdClockSpec],
+) -> Result<CodeTable, VcdReadError> {
+    let mut clock_codes: Vec<Option<Vec<u8>>> = vec![None; clocks.len()];
+    let mut table = CodeTable::new();
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', line) {
+            Ok(0) => break,
+            Ok(n) => {
+                stats.bytes += n as u64;
+                *lineno += 1;
             }
-            let code = toks[3];
-            let name = toks[4];
-            let base = match name.find('[') {
-                Some(i) => &name[..i],
-                None => name,
-            };
-            let is_clock = clock_names.iter().any(|&cn| cn == name || cn == base);
-            let symbol = alphabet.lookup(name).or_else(|| alphabet.lookup(base));
-            if (is_clock || symbol.is_some())
-                && matches!(toks[1], "real" | "realtime" | "shortreal")
-            {
-                let role = if is_clock { "clock" } else { "chart symbol" };
-                return Err(VcdReadError::Malformed {
-                    line: *lineno,
-                    message: format!(
-                        "`{name}` is a `$var {}`, but the spec samples it as a {role}; \
-                         only scalar and vector signals can be sampled",
-                        toks[1]
-                    ),
-                });
-            }
-            if is_clock {
-                for (ci, &cn) in clock_names.iter().enumerate() {
-                    if (cn == name || cn == base) && header.clock_codes[ci].is_none() {
-                        header.clock_codes[ci] = Some(code.to_owned());
-                    }
+            Err(e) => return Err(io_error(&e)),
+        }
+        let toks: Vec<&[u8]> = tokens(line).collect();
+        match toks.first().copied() {
+            Some(b"$var") => {}
+            Some(b"$enddefinitions") => break,
+            _ => continue,
+        }
+        // $var var_type size code reference [range] $end
+        if toks.len() < 5 || toks[3] == b"$end" || toks[4] == b"$end" {
+            return Err(malformed(*lineno, "short $var declaration".to_owned()));
+        }
+        let (kind, code, name) = (toks[1], toks[3], toks[4]);
+        let base = name.split(|&b| b == b'[').next().unwrap_or(name);
+        let names_clock = |c: &VcdClockSpec| c.name.as_bytes() == name || c.name.as_bytes() == base;
+        let is_clock = clocks.iter().any(names_clock);
+        let symbol = [name, base]
+            .into_iter()
+            .find_map(|n| std::str::from_utf8(n).ok().and_then(|n| alphabet.lookup(n)));
+        if (is_clock || symbol.is_some())
+            && matches!(kind, b"real" | b"realtime" | b"shortreal")
+        {
+            let role = if is_clock { "clock" } else { "chart symbol" };
+            return Err(malformed(
+                *lineno,
+                format!(
+                    "`{}` is a `$var {}`, but the spec samples it as a {role}; \
+                     only scalar and vector signals can be sampled",
+                    shown(name),
+                    shown(kind)
+                ),
+            ));
+        }
+        if is_clock {
+            for (slot, clock) in clock_codes.iter_mut().zip(clocks) {
+                if slot.is_none() && names_clock(clock) {
+                    *slot = Some(code.to_vec());
                 }
-            } else if let Some(id) = symbol {
-                header.code_to_symbol.insert(code.to_owned(), id);
             }
-        } else if toks.first() == Some(&"$enddefinitions") {
-            break;
+        } else if let Some(id) = symbol {
+            table.insert(code, Watch::Symbol(id));
         }
     }
-    Ok(header)
+    // clock codes go in last so they win over a symbol sharing the code
+    for (i, clock) in clocks.iter().enumerate() {
+        let code = clock_codes[i].as_deref().ok_or_else(|| VcdReadError::MissingClock {
+            name: clock.name.clone(),
+        })?;
+        if clock_codes[..i].iter().any(|c| c.as_deref() == Some(code)) {
+            continue; // listed with the first clock on this code
+        }
+        let start = table.clock_lists.len() as u32;
+        for (j, other) in clock_codes.iter().enumerate().skip(i) {
+            if other.as_deref() == Some(code) {
+                table.clock_lists.push(j as u32);
+            }
+        }
+        let end = table.clock_lists.len() as u32;
+        table.insert(code, Watch::Clocks { start, end });
+    }
+    Ok(table)
 }
 
 /// One clock a [`GlobalVcdStream`] samples on, optionally with a mask
@@ -465,16 +610,209 @@ impl VcdClockSpec {
     }
 }
 
+/// What a [`GlobalVcdStream`] has consumed and produced so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VcdStats {
+    /// Bytes taken from the reader, header included. At end of input
+    /// this is the dump's length.
+    pub bytes: u64,
+    /// Value-change lines read after the header (scalar, vector and
+    /// real; `$dumpvars` blocks included).
+    pub value_changes: u64,
+    /// Of those, the changes dropped because no requested clock or
+    /// alphabet symbol watches their identifier code.
+    pub skipped_changes: u64,
+    /// Clock-edge samples produced: one per tick of every step.
+    pub samples: u64,
+}
+
+/// The body decoder: every piece of [`GlobalVcdStream`] state except
+/// the reader and its line carry, so a line borrowed from the reader's
+/// buffer can be decoded in place.
+#[derive(Debug)]
+struct Decoder {
+    codes: CodeTable,
+    /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
+    masks: Vec<u128>,
+    current: Valuation,
+    levels: Vec<bool>,
+    /// Clocks that rose at the current timestamp; their shared step is
+    /// emitted when the timestamp advances (or input ends).
+    pending: Vec<bool>,
+    any_pending: bool,
+    /// Recycled tick vectors: [`GlobalVcdStream::next_chunk`] reclaims
+    /// the caller's previous chunk's `ticks` allocations here and
+    /// [`Decoder::flush`] reuses them, so steady-state streaming
+    /// allocates nothing per step (pinned by the workspace
+    /// counting-allocator test).
+    spare: Vec<Vec<(ClockId, Valuation)>>,
+    cur_time: u64,
+    lineno: usize,
+    /// Inside a `$comment` whose `$end` has not been read yet.
+    in_comment: bool,
+    stats: VcdStats,
+}
+
+impl Decoder {
+    /// Emits the clocks that rose at the current instant as one step,
+    /// reusing a recycled tick vector when one is available.
+    #[inline]
+    fn flush(&mut self, buf: &mut Vec<GlobalStep>) {
+        if !self.any_pending {
+            return;
+        }
+        let mut ticks = self.spare.pop().unwrap_or_default();
+        for (i, p) in self.pending.iter_mut().enumerate() {
+            if std::mem::take(p) {
+                ticks.push((
+                    ClockId::from_index(i),
+                    Valuation::from_bits(self.current.bits() & self.masks[i]),
+                ));
+            }
+        }
+        self.stats.samples += ticks.len() as u64;
+        buf.push(GlobalStep {
+            time: self.cur_time,
+            ticks,
+        });
+        self.any_pending = false;
+    }
+
+    /// Decodes one body line (its line terminator stripped or not).
+    /// Scalar changes and timestamps, nearly every line of a dump, are
+    /// decoded here; the rest goes to [`Decoder::other_line`].
+    #[inline]
+    fn line(&mut self, raw: &[u8], buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
+        self.lineno += 1;
+        let line = trim(raw);
+        match line {
+            _ if self.in_comment => {
+                self.in_comment = !tokens(line).any(|t| t == b"$end");
+                Ok(())
+            }
+            [value @ (b'0' | b'1' | b'x' | b'X' | b'z' | b'Z'), rest @ ..] => {
+                let code = trim(rest);
+                if code.is_empty() {
+                    return Err(malformed(
+                        self.lineno,
+                        "scalar change missing identifier".to_owned(),
+                    ));
+                }
+                self.change(code, |_| Ok(*value == b'1'))
+            }
+            [b'#', rest @ ..] => {
+                let t = parse_timestamp(trim(rest), self.lineno)?;
+                if t < self.cur_time {
+                    return Err(malformed(
+                        self.lineno,
+                        format!("timestamp #{t} goes backwards (after #{})", self.cur_time),
+                    ));
+                }
+                if t > self.cur_time {
+                    // a pending step belongs to the instant it was
+                    // sampled at: flush before the time moves on
+                    self.flush(buf);
+                    self.cur_time = t;
+                }
+                Ok(())
+            }
+            _ => self.other_line(line),
+        }
+    }
+
+    /// Decodes a body line that is neither a scalar change nor a
+    /// timestamp: blank, a directive, a vector or real change, or
+    /// malformed.
+    #[inline(never)]
+    fn other_line(&mut self, line: &[u8]) -> Result<(), VcdReadError> {
+        let Some((&first, rest)) = line.split_first() else {
+            return Ok(());
+        };
+        match first {
+            b'b' | b'B' => {
+                // b<bits> <code>; x/z bits are "not 1", i.e. false
+                let mut toks = tokens(rest);
+                let bits = toks.next().unwrap_or_default();
+                let Some(code) = toks.next() else {
+                    return Err(malformed(
+                        self.lineno,
+                        "vector change missing identifier".to_owned(),
+                    ));
+                };
+                self.change(code, |lineno| vector_value(bits, lineno))
+            }
+            b'r' | b'R' => {
+                // `r<real> <code>`: the header rejects reals the spec
+                // watches, so every real change belongs to an
+                // unwatched signal
+                self.stats.value_changes += 1;
+                self.stats.skipped_changes += 1;
+                Ok(())
+            }
+            b'$' => {
+                // directives; `$dumpvars` bodies are value changes
+                let mut toks = tokens(line);
+                if toks.next() == Some(b"$comment") && !toks.any(|t| t == b"$end") {
+                    self.in_comment = true;
+                }
+                Ok(())
+            }
+            other if other.is_ascii() => Err(malformed(
+                self.lineno,
+                format!("unsupported value change `{}`", shown_byte(other)),
+            )),
+            _ => Err(non_ascii(line, self.lineno, "line")),
+        }
+    }
+
+    /// Applies a value change to `code`. `value` is only consulted —
+    /// and a malformed value only reported — when the code is watched.
+    #[inline]
+    fn change(
+        &mut self,
+        code: &[u8],
+        value: impl FnOnce(usize) -> Result<bool, VcdReadError>,
+    ) -> Result<(), VcdReadError> {
+        self.stats.value_changes += 1;
+        match self.codes.get(code, self.lineno)? {
+            None => self.stats.skipped_changes += 1,
+            Some(Watch::Symbol(id)) => {
+                if value(self.lineno)? {
+                    self.current.insert(id);
+                } else {
+                    self.current.remove(id);
+                }
+            }
+            Some(Watch::Clocks { start, end }) => {
+                let value = value(self.lineno)?;
+                for &ci in &self.codes.clock_lists[start as usize..end as usize] {
+                    let ci = ci as usize;
+                    if value && !self.levels[ci] {
+                        self.pending[ci] = true;
+                        self.any_pending = true;
+                    }
+                    self.levels[ci] = value;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Streaming VCD reader: parses the header eagerly, then samples every
 /// requested clock's rising edges and yields [`GlobalStep`] chunks in
 /// caller-sized batches — the input side of every `cesc check` route.
 /// A single-clock check is a one-clock plan; [`read_vcd`] is the
 /// convenience wrapper that drains one into a [`Trace`].
 ///
-/// The reader pulls lines from any [`io::BufRead`] — a
-/// `BufReader<File>` for dumps on disk, a byte slice for in-memory
-/// text — so resident memory is one line plus one decoded chunk,
-/// regardless of dump size.
+/// The reader scans the body's lines in place in the [`io::BufRead`]'s
+/// own buffer — a `BufReader<File>` for dumps on disk, a byte slice for
+/// in-memory text — copying only a line that straddles two buffer
+/// fills, so resident memory is one buffer plus one decoded chunk,
+/// regardless of dump size. Identifier codes resolve through a direct
+/// table, and a change to a code no clock or symbol watches is dropped
+/// before its value is looked at. `docs/VCD.md` states the accepted
+/// subset and the error each malformed form gives.
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`] index `i`
 /// in the produced steps, so a consumer whose locals are listed in the
@@ -516,32 +854,16 @@ impl VcdClockSpec {
 /// stream.next_chunk(&mut steps, 16)?;
 /// assert_eq!(steps.len(), run.len());
 /// assert_eq!(steps[0].ticks, run.get(0).unwrap().ticks);
+/// assert_eq!(stream.stats().samples, 2);
 /// # Ok::<(), cesc_trace::VcdReadError>(())
 /// ```
 #[derive(Debug)]
 pub struct GlobalVcdStream<R> {
     reader: R,
-    line: String,
-    lineno: usize,
-    code_to_symbol: HashMap<String, SymbolId>,
-    /// Identifier code → indices of the clocks it drives (several when
-    /// two requested clocks share one VCD signal).
-    clock_codes: HashMap<String, Vec<u32>>,
-    /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
-    masks: Vec<u128>,
-    current: Valuation,
-    levels: Vec<bool>,
-    /// Clocks that rose at the current timestamp; their shared step is
-    /// emitted when the timestamp advances (or input ends).
-    pending: Vec<bool>,
-    any_pending: bool,
-    /// Recycled tick vectors: [`GlobalVcdStream::next_chunk`] reclaims
-    /// the caller's previous chunk's `ticks` allocations here and
-    /// [`GlobalVcdStream::flush_at`] reuses them, so steady-state
-    /// streaming allocates nothing per step (pinned by the workspace
-    /// counting-allocator test).
-    spare: Vec<Vec<(ClockId, Valuation)>>,
-    cur_time: u64,
+    /// The start of a line that straddles two buffer fills (and, while
+    /// the header is read, the current header line).
+    carry: Vec<u8>,
+    dec: Decoder,
     done: bool,
 }
 
@@ -583,70 +905,39 @@ impl<R: BufRead> GlobalVcdStream<R> {
         alphabet: &Alphabet,
         clocks: &[VcdClockSpec],
     ) -> Result<Self, VcdReadError> {
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let names: Vec<&str> = clocks.iter().map(VcdClockSpec::name).collect();
-        let header = parse_header(&mut reader, &mut line, &mut lineno, alphabet, &names)?;
-        let mut clock_codes: HashMap<String, Vec<u32>> = HashMap::new();
-        for (i, (spec, code)) in clocks.iter().zip(header.clock_codes).enumerate() {
-            let code = code.ok_or_else(|| VcdReadError::MissingClock {
-                name: spec.name.clone(),
-            })?;
-            clock_codes.entry(code).or_default().push(i as u32);
-        }
+        let mut carry = Vec::new();
+        let mut stats = VcdStats::default();
+        let mut lineno = 0;
+        let codes =
+            parse_header(&mut reader, &mut carry, &mut stats, &mut lineno, alphabet, clocks)?;
+        carry.clear();
         Ok(GlobalVcdStream {
             reader,
-            line,
-            lineno,
-            code_to_symbol: header.code_to_symbol,
-            clock_codes,
-            masks: clocks
-                .iter()
-                .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
-                .collect(),
-            current: Valuation::empty(),
-            levels: vec![false; clocks.len()],
-            pending: vec![false; clocks.len()],
-            any_pending: false,
-            spare: Vec::new(),
-            cur_time: 0,
+            carry,
+            dec: Decoder {
+                codes,
+                masks: clocks
+                    .iter()
+                    .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
+                    .collect(),
+                current: Valuation::empty(),
+                levels: vec![false; clocks.len()],
+                pending: vec![false; clocks.len()],
+                any_pending: false,
+                spare: Vec::new(),
+                cur_time: 0,
+                lineno,
+                in_comment: false,
+                stats,
+            },
             done: false,
         })
     }
 
-    /// Emits the clocks that rose at instant `time` as one step,
-    /// reusing a recycled tick vector when one is available.
-    fn flush_at(&mut self, time: u64, buf: &mut Vec<GlobalStep>) {
-        if !self.any_pending {
-            return;
-        }
-        let mut ticks = self.spare.pop().unwrap_or_default();
-        ticks.extend(
-            self.pending
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p)
-                .map(|(i, _)| {
-                    (
-                        ClockId::from_index(i),
-                        Valuation::from_bits(self.current.bits() & self.masks[i]),
-                    )
-                }),
-        );
-        buf.push(GlobalStep { time, ticks });
-        self.pending.iter_mut().for_each(|p| *p = false);
-        self.any_pending = false;
-    }
-
-    /// Consumes the lines of a multi-line `$comment` up to and
-    /// including the one carrying its `$end` (or to end of input).
-    fn skip_comment(&mut self) -> Result<(), VcdReadError> {
-        while read_line(&mut self.reader, &mut self.line, &mut self.lineno)? {
-            if self.line.split_whitespace().any(|t| t == "$end") {
-                break;
-            }
-        }
-        Ok(())
+    /// What the stream has consumed and produced so far; after the
+    /// last chunk, the totals of the whole dump.
+    pub fn stats(&self) -> VcdStats {
+        self.dec.stats
     }
 
     /// Clears `buf` and refills it with up to `max` global steps,
@@ -669,113 +960,71 @@ impl<R: BufRead> GlobalVcdStream<R> {
     ) -> Result<usize, VcdReadError> {
         for mut step in buf.drain(..) {
             step.ticks.clear();
-            self.spare.push(step.ticks);
+            self.dec.spare.push(step.ticks);
         }
         if self.done || max == 0 {
             return Ok(0);
         }
-        while buf.len() < max {
-            let more = match read_line(&mut self.reader, &mut self.line, &mut self.lineno) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !more {
-                self.done = true;
-                let t = self.cur_time;
-                self.flush_at(t, buf);
-                break;
-            }
-            // a pending step belongs to the instant it was sampled at,
-            // so the flush uses the time *before* the advance
-            let prev_time = self.cur_time;
-            let classified = classify_body_line(self.line.trim(), self.lineno)
-                .and_then(|parsed| match parsed {
-                    BodyLine::Time(t) => advance_time(&mut self.cur_time, t, self.lineno)
-                        .map(|advanced| if advanced { parsed } else { BodyLine::Skip }),
-                    other => Ok(other),
-                });
-            match classified {
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Ok(BodyLine::Skip) => {}
-                Ok(BodyLine::CommentOpen) => {
-                    if let Err(e) = self.skip_comment() {
-                        self.done = true;
-                        return Err(e);
-                    }
-                }
-                Ok(BodyLine::Time(_)) => self.flush_at(prev_time, buf),
-                Ok(BodyLine::Change(value, code)) => {
-                    if let Some(indices) = self.clock_codes.get(code) {
-                        for &ci in indices {
-                            let ci = ci as usize;
-                            if value && !self.levels[ci] {
-                                self.pending[ci] = true;
-                                self.any_pending = true;
-                            }
-                            self.levels[ci] = value;
-                        }
-                    } else if let Some(&id) = self.code_to_symbol.get(code) {
-                        if value {
-                            self.current.insert(id);
-                        } else {
-                            self.current.remove(id);
-                        }
-                    }
-                }
-            }
+        if let Err(e) = self.fill(buf, max) {
+            self.done = true;
+            return Err(e);
         }
         Ok(buf.len())
     }
-}
 
-/// Parses one VCD value-change line into `(value, identifier code)`.
-/// `lineno` is 1-based.
-fn parse_change(line: &str, lineno: usize) -> Result<(bool, &str), VcdReadError> {
-    if let Some(rest) = line.strip_prefix('b').or_else(|| line.strip_prefix('B')) {
-        // vector: b<binary> <code>; x/z bits are "not 1", i.e. false
-        let mut parts = rest.split_whitespace();
-        let bits = parts.next().unwrap_or("");
-        if let Some(bad) = bits.chars().find(|c| !matches!(c, '0' | '1' | 'x' | 'X' | 'z' | 'Z')) {
-            return Err(VcdReadError::Malformed {
-                line: lineno,
-                message: format!("invalid bit `{bad}` in vector change"),
-            });
-        }
-        let code = parts.next().ok_or_else(|| VcdReadError::Malformed {
-            line: lineno,
-            message: "vector change missing identifier".to_owned(),
-        })?;
-        Ok((bits.contains('1'), code))
-    } else {
-        let mut chars = line.chars();
-        let v = chars.next().ok_or_else(|| VcdReadError::Malformed {
-            line: lineno,
-            message: "empty value change".to_owned(),
-        })?;
-        let value = match v {
-            '1' => true,
-            '0' | 'x' | 'X' | 'z' | 'Z' => false,
-            other => {
-                return Err(VcdReadError::Malformed {
-                    line: lineno,
-                    message: format!("unsupported value change `{other}`"),
-                })
+    /// Decodes lines into `buf` until it holds `max` steps or the input
+    /// ends. Lines are decoded where they lie in the reader's buffer;
+    /// only one that straddles two fills is assembled in `carry`.
+    fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<(), VcdReadError> {
+        while buf.len() < max {
+            let avail = match self.reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(io_error(&e)),
+            };
+            if avail.is_empty() {
+                // end of input: an unterminated last line, then the
+                // step sampled at the final instant
+                if !self.carry.is_empty() {
+                    self.dec.line(&self.carry, buf)?;
+                    self.carry.clear();
+                }
+                self.dec.flush(buf);
+                self.done = true;
+                return Ok(());
             }
-        };
-        let code = chars.as_str().trim();
-        if code.is_empty() {
-            return Err(VcdReadError::Malformed {
-                line: lineno,
-                message: "scalar change missing identifier".to_owned(),
-            });
+            let mut pos = 0;
+            if !self.carry.is_empty() {
+                match avail.iter().position(|&b| b == b'\n') {
+                    Some(i) => {
+                        self.carry.extend_from_slice(&avail[..i]);
+                        pos = i + 1;
+                        self.dec.line(&self.carry, buf)?;
+                        self.carry.clear();
+                    }
+                    None => {
+                        self.carry.extend_from_slice(avail);
+                        pos = avail.len();
+                    }
+                }
+            }
+            while pos < avail.len() && buf.len() < max {
+                let rest = &avail[pos..];
+                match rest.iter().position(|&b| b == b'\n') {
+                    Some(i) => {
+                        pos += i + 1;
+                        self.dec.line(&rest[..i], buf)?;
+                    }
+                    None => {
+                        self.carry.extend_from_slice(rest);
+                        pos = avail.len();
+                    }
+                }
+            }
+            self.reader.consume(pos);
+            self.dec.stats.bytes += pos as u64;
         }
-        Ok((value, code))
+        Ok(())
     }
 }
 
@@ -1468,6 +1717,301 @@ $enddefinitions $end
                 } else {
                     assert!(!v.contains(go), "clk2 tick must not carry go");
                 }
+            }
+        }
+    }
+
+    // ---- byte-level reader edge cases ------------------------------
+
+    /// Every step of a stream read in chunks of `max`, or its error.
+    fn drain<R: BufRead>(
+        mut stream: GlobalVcdStream<R>,
+        max: usize,
+    ) -> (Result<Vec<GlobalStep>, VcdReadError>, VcdStats) {
+        let mut all = Vec::new();
+        let mut chunk = Vec::new();
+        loop {
+            match stream.next_chunk(&mut chunk, max) {
+                Ok(0) => return (Ok(all), stream.stats()),
+                Ok(_) => all.extend(chunk.iter().cloned()),
+                Err(e) => return (Err(e), stream.stats()),
+            }
+        }
+    }
+
+    const HANDSHAKE: &str = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var wire 4 # burst $end
+$enddefinitions $end
+#0
+1\"
+b1x10 #
+1!
+#5
+0!
+0\"
+bxz00 #
+#10
+1!
+";
+
+    #[test]
+    fn crlf_line_endings_read_like_lf() {
+        let (ab, _, _) = setup();
+        let lf = read_vcd(HANDSHAKE, &ab, "clk").unwrap();
+        assert_eq!(lf.len(), 2);
+        let crlf = HANDSHAKE.replace('\n', "\r\n");
+        assert_eq!(read_vcd(&crlf, &ab, "clk").unwrap(), lf);
+        // also when the `\r` and the `\n` land in different buffer fills
+        for cap in 1..=4 {
+            let reader = io::BufReader::with_capacity(cap, crlf.as_bytes());
+            let stream = GlobalVcdStream::from_reader(reader, &ab, &one_clock("clk")).unwrap();
+            let (steps, stats) = drain(stream, 16);
+            let got: Trace = one_tick_each(&steps.unwrap()).collect();
+            assert_eq!(got, lf, "capacity {cap}");
+            assert_eq!(stats.bytes, crlf.len() as u64);
+        }
+    }
+
+    #[test]
+    fn tab_separated_vector_change_applies() {
+        let (ab, a, b) = setup();
+        let vcd = HANDSHAKE
+            .replace("b1x10 #", "b1010\t#")
+            .replace("bxz00 #", "\tb0000\t\t#\t");
+        let t = read_vcd(&vcd, &ab, "clk").unwrap();
+        assert_eq!(t, Trace::from_elements([Valuation::of([a, b]), Valuation::empty()]));
+    }
+
+    #[test]
+    fn unwatched_long_code_sharing_a_watched_prefix_is_skipped() {
+        // `"` is `req`; `"#$` is an unwatched 3-byte code starting with it
+        let (ab, a, _) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var wire 1 \"#$ other $end
+$enddefinitions $end
+#0
+1\"#$
+1!
+#5
+0!
+0\"#$
+1\"
+#10
+1!
+";
+        let stream = GlobalVcdStream::new(vcd, &ab, &one_clock("clk")).unwrap();
+        let (steps, stats) = drain(stream, 16);
+        let got: Trace = one_tick_each(&steps.unwrap()).collect();
+        assert_eq!(got, Trace::from_elements([Valuation::empty(), Valuation::of([a])]));
+        assert_eq!(stats.value_changes, 6);
+        assert_eq!(stats.skipped_changes, 2);
+        assert_eq!(stats.samples, 2);
+        assert_eq!(stats.bytes, vcd.len() as u64);
+    }
+
+    #[test]
+    fn watched_three_byte_code_applies() {
+        let (ab, a, b) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 ab~ req $end
+$var wire 8 ~~~~ burst [7:0] $end
+$enddefinitions $end
+#0
+1ab~
+b00000001 ~~~~
+1!
+#5
+0!
+0ab~
+#10
+1!
+";
+        let t = read_vcd(vcd, &ab, "clk").unwrap();
+        assert_eq!(t, Trace::from_elements([Valuation::of([a, b]), Valuation::of([b])]));
+    }
+
+    #[test]
+    fn non_ascii_body_byte_errors_naming_its_line() {
+        let (ab, _, _) = setup();
+        let head = "$var wire 1 ! clk $end\n$var wire 1 \" req $end\n$enddefinitions $end\n#0\n1!\n";
+        for bad in [
+            &b"1\xff\n"[..],      // scalar change to a non-ASCII code
+            b"1\xc3\xa9\n",      // ... valid UTF-8 included
+            b"\xe2\x80\x8b1\"\n", // non-ASCII first byte
+            b"#1\xff\n",         // timestamp
+            b"b10 \xff\n",       // vector code
+        ] {
+            let mut vcd = head.as_bytes().to_vec();
+            vcd.extend_from_slice(bad);
+            vcd.extend_from_slice(b"#5\n0!\n");
+            let stream = GlobalVcdStream::from_reader(&vcd[..], &ab, &one_clock("clk")).unwrap();
+            let (res, _) = drain(stream, 16);
+            match res {
+                Err(VcdReadError::Malformed { line: 6, .. }) => {}
+                other => panic!("{bad:?}: {other:?}"),
+            }
+        }
+        // a non-ASCII byte in text the reader does not interpret
+        // (comment, unwatched vector value, real value) is not an error
+        let mut vcd = head.as_bytes().to_vec();
+        vcd.extend_from_slice(b"$comment caf\xc3\xa9 $end\nb1\xff0 ?\nr1.\xff5 ?\n#5\n0!\n");
+        assert!(read_vcd(&String::from_utf8_lossy(&vcd), &ab, "clk").is_ok());
+        let stream = GlobalVcdStream::from_reader(&vcd[..], &ab, &one_clock("clk")).unwrap();
+        assert_eq!(drain(stream, 16).0.unwrap().len(), 1);
+    }
+
+    #[test]
+    fn unwatched_vector_with_invalid_bits_is_skipped() {
+        let (ab, a, _) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var wire 4 # mystery $end
+$enddefinitions $end
+#0
+bq0?0 #
+1\"
+1!
+";
+        let stream = GlobalVcdStream::new(vcd, &ab, &one_clock("clk")).unwrap();
+        let (steps, stats) = drain(stream, 16);
+        let got: Trace = one_tick_each(&steps.unwrap()).collect();
+        assert_eq!(got, Trace::from_elements([Valuation::of([a])]));
+        assert_eq!(stats.skipped_changes, 1);
+        // the same change to a watched code still errors
+        let watched = vcd.replace("bq0?0 #", "bq0?0 \"");
+        assert!(matches!(
+            read_vcd(&watched, &ab, "clk"),
+            Err(VcdReadError::Malformed { line: 6, .. })
+        ));
+    }
+
+    #[test]
+    fn clocks_sharing_one_signal_tick_together() {
+        // `ck` and `clk` alias one code; the spec asks for `clk` twice
+        // and for `ck`: all three tick on its edge, in request order
+        let (ab, a, _) = setup();
+        let vcd = "$var wire 1 ! clk $end\n$var wire 1 ! ck $end\n$var wire 1 \" req $end\n\
+                   $enddefinitions $end\n#0\n1\"\n1!\n#5\n0!\n";
+        let specs = [
+            VcdClockSpec::new("clk"),
+            VcdClockSpec::masked("ck", Valuation::empty()),
+            VcdClockSpec::new("clk"),
+        ];
+        let (steps, stats) = drain(GlobalVcdStream::new(vcd, &ab, &specs).unwrap(), 16);
+        let want = [
+            (ClockId::from_index(0), Valuation::of([a])),
+            (ClockId::from_index(1), Valuation::empty()),
+            (ClockId::from_index(2), Valuation::of([a])),
+        ];
+        assert_eq!(steps.unwrap()[0].ticks, want);
+        assert_eq!(stats.samples, 3);
+    }
+
+    #[test]
+    fn timestamps_parse_every_width_up_to_u64_max() {
+        for t in [0, 7, 12_345_678, 123_456_789, 9_999_999_999_999_999, u64::MAX] {
+            assert_eq!(parse_timestamp(t.to_string().as_bytes(), 1), Ok(t), "{t}");
+        }
+        assert_eq!(parse_timestamp(b"+42", 1), Ok(42));
+        assert_eq!(parse_timestamp(b"00000000000000000000001", 1), Ok(1));
+        for bad in [
+            &b""[..],
+            b"+",
+            b"-1",
+            b"1_000",
+            b"12345678x",
+            b"1234567890123x",
+            b"18446744073709551616",
+            b"99999999999999999999",
+        ] {
+            assert!(
+                matches!(parse_timestamp(bad, 9), Err(VcdReadError::Malformed { line: 9, .. })),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_small_buffer_capacity_equals_the_whole_slice_read() {
+        // two clocks (one shared code pair), a multi-line body comment
+        // holding change-like lines, vectors, reals, x/z, CRLF and a
+        // last line without a terminator: each line straddles buffer
+        // fills somewhere across these capacities
+        let mut ab = Alphabet::new();
+        let go = ab.event("go");
+        let done = ab.event("done");
+        let data = ab.event("data");
+        let vcd = "\
+$timescale 1ns $end
+$var wire 1 ! clk1 $end
+$var wire 1 \" clk2 $end
+$var wire 1 # go $end
+$var wire 1 $ done $end
+$var wire 8 %& data [7:0] $end
+$var real 64 ' temp $end
+$enddefinitions $end
+#0
+$dumpvars
+0!
+0\"
+x#
+z$
+bzzzzzzzz %&
+r0.0 '
+$end
+#2
+1#\r
+1!
+b0000x001 %&
+#3
+$comment
+  1$
+  #99 looks like a timestamp
+$end
+1\"
+r-1.5e3 '
+#4
+0!
+0#
+1$
+bxxxxxxxx %&
+#5
+0\"
+1!
+1\"
+#6
+0!";
+        let specs = [
+            VcdClockSpec::masked("clk1", Valuation::of([go, data])),
+            VcdClockSpec::new("clk2"),
+        ];
+        let whole = drain(GlobalVcdStream::new(vcd, &ab, &specs).unwrap(), 1000);
+        let steps = whole.0.clone().unwrap();
+        let times: Vec<u64> = steps.iter().map(|s| s.time).collect();
+        assert_eq!(times, [2, 3, 5]);
+        assert_eq!(steps[0].ticks, [(ClockId::from_index(0), Valuation::of([go, data]))]);
+        assert_eq!(steps[1].ticks, [(ClockId::from_index(1), Valuation::of([go, data]))]);
+        assert_eq!(
+            steps[2].ticks,
+            [
+                (ClockId::from_index(0), Valuation::empty()),
+                (ClockId::from_index(1), Valuation::of([done])),
+            ]
+        );
+        assert_eq!(whole.1.bytes, vcd.len() as u64);
+        assert_eq!(whole.1.samples, 4);
+        assert_eq!(whole.1.skipped_changes, 2, "the two real changes");
+        for cap in 1..=9 {
+            for max in [1, 2, 1000] {
+                let reader = io::BufReader::with_capacity(cap, vcd.as_bytes());
+                let got = drain(GlobalVcdStream::from_reader(reader, &ab, &specs).unwrap(), max);
+                assert_eq!(got, whole, "capacity {cap}, chunk {max}");
             }
         }
     }

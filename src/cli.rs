@@ -690,15 +690,19 @@ pub fn check_fleet(
     };
     let tick_counter = obs.counter(key::FLEET_TICKS);
     let mut ticks = 0u64;
+    // `ingest` is the reader's share of `execute`: the summed time of
+    // every `next_chunk` call
+    let mut ingest = std::time::Duration::ZERO;
     let exec_span = obs.span("execute");
     let (report, driven) =
         run_sharded(&fleet, &shard_plan, Some(&clock_set), &par_opts, |feeder| {
             let mut chunk = Vec::new();
             let mut steps = 0u64;
             loop {
-                let n = stream
-                    .next_chunk(&mut chunk, BATCH_CHUNK)
-                    .map_err(|e| CliError::Pipeline(e.to_string()))?;
+                let read = std::time::Instant::now();
+                let n = stream.next_chunk(&mut chunk, BATCH_CHUNK);
+                ingest += read.elapsed();
+                let n = n.map_err(|e| CliError::Pipeline(e.to_string()))?;
                 if n == 0 {
                     return Ok(steps);
                 }
@@ -710,6 +714,12 @@ pub fn check_fleet(
             }
         });
     drop(exec_span);
+    obs.record_span("ingest", ingest);
+    let read = stream.stats();
+    obs.counter(key::TRACE_BYTES).add(read.bytes);
+    obs.counter(key::TRACE_VALUE_CHANGES).add(read.value_changes);
+    obs.counter(key::TRACE_SKIPPED_CHANGES).add(read.skipped_changes);
+    obs.counter(key::TRACE_SAMPLES).add(read.samples);
     let steps: u64 = driven?;
     let failed = report.any_failed();
 

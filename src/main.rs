@@ -229,7 +229,7 @@ fn run() -> Result<(String, bool), cli::CliError> {
                 cli::CliError::Usage("check requires --vcd FILE".to_owned())
             })?;
             // stream the dump instead of reading it into memory: a
-            // multi-GB waveform is checked line by line
+            // multi-GB waveform is checked in constant memory
             let file = std::fs::File::open(&vcd_path).map_err(|e| {
                 cli::CliError::Pipeline(format!("cannot read `{vcd_path}`: {e}"))
             })?;

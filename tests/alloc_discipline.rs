@@ -192,13 +192,14 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         .collect();
     let mut bank = MonitorBank::new();
     bank.add_compiled(compiled.clone());
+    bank.bind_clocks(&clocks);
     let mut drained = 0usize;
-    bank.feed_global(&clocks, &steps[..CHUNK]); // warmup
+    bank.feed_global(&steps[..CHUNK]); // warmup
     bank.drain_hits(|_, hits| drained += hits.len());
     let warm_words = bank.engine_words();
     let steady = allocs_during(|| {
         for chunk in steps[CHUNK..].chunks(CHUNK) {
-            bank.feed_global(&clocks, chunk);
+            bank.feed_global(chunk);
             bank.drain_hits(|_, hits| drained += hits.len());
         }
     });

@@ -242,7 +242,9 @@ proptest! {
             .unwrap();
         let m1 = synthesize(doc.chart("m1").unwrap(), &SynthOptions::default()).unwrap();
 
+        // bound before the members are added: they bind as they join
         let mut bank = MonitorBank::new();
+        bank.bind_clocks(&clocks);
         let si = bank.add(&m1);
         let mi = bank.add_multiclock(&mm);
 
@@ -250,10 +252,10 @@ proptest! {
         let mut at = 0usize;
         for &len in &chunking {
             let end = (at + len).min(elements.len());
-            bank.feed_global(&clocks, &elements[at..end]);
+            bank.feed_global(&elements[at..end]);
             at = end;
         }
-        bank.feed_global(&clocks, &elements[at..]);
+        bank.feed_global(&elements[at..]);
 
         // single-clock reference: m1 over its own domain's projection,
         // hits at global times
@@ -443,7 +445,8 @@ proptest! {
             let b1 = bank.add(&m1);
             let b2 = bank.add(&m2);
             let bm = bank.add_multiclock(&mm);
-            bank.feed_global(&clocks, run.as_slice());
+            bank.bind_clocks(&clocks);
+            bank.feed_global(run.as_slice());
 
             let mut fleet = Fleet::new();
             let f1 = fleet.add(&m1);

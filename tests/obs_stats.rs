@@ -143,8 +143,10 @@ fn engine_rate_is_over_engine_busy_time() {
 /// `check_fleet`. The optimized members must take the bit-sliced
 /// engine, and every chart's report must equal the step-wise
 /// reference scan of the same trace.
-#[test]
-fn ocp_burst_dump_takes_the_sliced_engine_with_stepwise_verdicts() {
+/// The OCP burst-read and simple-read spec, and a 400-transaction
+/// burst-read dump of it (bursts separated by idle gaps) with the trace
+/// it was written from.
+fn ocp_burst_dump() -> (String, cesc::chart::Document, Trace, String) {
     let spec = format!("{}{}", ocp::BURST_READ_SRC, ocp::SIMPLE_READ_SRC);
     let doc = cesc::chart::parse_document(&spec).unwrap();
     let window = ocp::burst_read_window(&doc.alphabet);
@@ -155,9 +157,14 @@ fn ocp_burst_dump_takes_the_sliced_engine_with_stepwise_verdicts() {
         seed: 7,
     };
     let trace = traffic::transaction_stream(&doc.alphabet, &window, &cfg);
-    let write = VcdWriteOptions::default();
-    let vcd = write_vcd(&trace, &doc.alphabet, &write);
+    let vcd = write_vcd(&trace, &doc.alphabet, &VcdWriteOptions::default());
+    (spec, doc, trace, vcd)
+}
 
+#[test]
+fn ocp_burst_dump_takes_the_sliced_engine_with_stepwise_verdicts() {
+    let (spec, doc, trace, vcd) = ocp_burst_dump();
+    let write = VcdWriteOptions::default();
     let obs = Obs::enabled();
     let opts = CheckOptions {
         all_matches: true,
@@ -211,6 +218,31 @@ fn ocp_burst_dump_takes_the_sliced_engine_with_stepwise_verdicts() {
         detected += usize::from(!times.is_empty());
     }
     assert!(detected > 0, "no chart matched — the comparison is vacuous");
+}
+
+/// The reader's counters account for the whole dump: every byte is
+/// consumed, and every clock-edge sample it produced reached the fleet.
+#[test]
+fn ocp_burst_dump_ingest_counters_cover_the_dump() {
+    let (spec, _, trace, vcd) = ocp_burst_dump();
+    let obs = Obs::enabled();
+    let opts = CheckOptions {
+        stats: StatsOptions {
+            obs: obs.clone(),
+            ..StatsOptions::default()
+        },
+        ..CheckOptions::default()
+    };
+    check_fleet(&spec, &[], true, vcd.as_bytes(), None, &opts).unwrap();
+    let report = obs.report("check");
+    assert_eq!(report.counter(key::TRACE_BYTES), vcd.len() as u64);
+    assert_eq!(report.counter(key::TRACE_SAMPLES), report.counter(key::FLEET_TICKS));
+    assert_eq!(report.counter(key::TRACE_SAMPLES), trace.len() as u64);
+    // every change the dump carries is on a watched signal
+    assert!(report.counter(key::TRACE_VALUE_CHANGES) > trace.len() as u64);
+    assert_eq!(report.counter(key::TRACE_SKIPPED_CHANGES), 0);
+    let (ingest, execute) = (report.span_ns("ingest"), report.span_ns("execute"));
+    assert!(ingest.is_some_and(|i| i > 0 && i <= execute.unwrap()), "{ingest:?} {execute:?}");
 }
 
 #[test]

@@ -201,8 +201,9 @@ proptest! {
             for m in &monitors {
                 bank.add_compiled(m.compiled_with(&opts));
             }
+            bank.bind_clocks(&clocks);
             for c in steps.chunks(chunk) {
-                bank.feed_global(&clocks, c);
+                bank.feed_global(c);
             }
             let reports = bank.reports();
             runs.push((0..monitors.len())
